@@ -30,7 +30,6 @@ use blox_core::metrics::RunStats;
 use blox_net::client::{submit, JobRequest};
 use blox_net::node::{spawn_node, NodeConfig};
 use blox_net::sched::{NetBackend, SchedulerConfig};
-use blox_net::TransportKind;
 use blox_policies::admission::AcceptAll;
 use blox_policies::placement::ConsolidatedPlacement;
 use blox_policies::scheduling::{Fifo, LossTermination};
@@ -115,12 +114,8 @@ fn net_recovery(drop_p: f64, jobs: usize, iters: f64) -> RecoveryTrial {
     let mut nodes: Vec<_> = (0..3)
         .map(|_| {
             spawn_node(NodeConfig {
-                sched: addr,
-                gpus: 4,
-                reconnect: false,
                 faults: (!plan.is_quiet()).then(|| plan.clone()),
-                transport: TransportKind::Threads,
-                poller: blox_net::PollerKind::Auto,
+                ..NodeConfig::new(addr, 4, false)
             })
         })
         .collect();

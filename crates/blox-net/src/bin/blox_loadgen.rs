@@ -4,8 +4,8 @@
 //! ```text
 //! blox-loadgen --sched 127.0.0.1:PORT [--conns 1000] [--rate 10000]
 //!              [--duration-s 5] [--drain-s 5] [--gpus 1] [--iters 1e9]
-//!              [--ramp-ms 0] [--poller auto|epoll|poll]
-//!              [--model synthetic-load] [--name loadgen] [--json PATH]
+//!              [--ramp-ms 0] [--model synthetic-load] [--name loadgen]
+//!              [--json PATH]
 //! ```
 //!
 //! Opens `--conns` concurrent client connections on one event-loop pool,
@@ -52,7 +52,6 @@ fn main() {
                     val("--ramp-ms").parse().expect("--ramp-ms u64"),
                 )
             }
-            "--poller" => cfg.poller = val("--poller").parse().expect("--poller auto|epoll|poll"),
             "--model" => cfg.model = val("--model"),
             "--name" => name = val("--name"),
             "--json" => json = Some(val("--json")),

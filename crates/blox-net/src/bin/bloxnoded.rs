@@ -5,18 +5,14 @@
 //!
 //! ```text
 //! bloxnoded --sched 127.0.0.1:PORT [--gpus 4] [--no-reconnect]
-//!           [--transport threads|evloop] [--poller auto|epoll|poll]
 //! ```
 
 use blox_net::node::{run_node, NodeConfig};
-use blox_net::{PollerKind, TransportKind};
 
 fn main() {
     let mut sched: Option<String> = None;
     let mut gpus = 4u32;
     let mut reconnect = true;
-    let mut transport = TransportKind::Threads;
-    let mut poller = PollerKind::Auto;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -29,20 +25,6 @@ fn main() {
                     .expect("--gpus u32")
             }
             "--no-reconnect" => reconnect = false,
-            "--transport" => {
-                transport = it
-                    .next()
-                    .expect("missing value for --transport")
-                    .parse()
-                    .expect("--transport threads|evloop")
-            }
-            "--poller" => {
-                poller = it
-                    .next()
-                    .expect("missing value for --poller")
-                    .parse()
-                    .expect("--poller auto|epoll|poll")
-            }
             other => panic!("unknown flag {other}"),
         }
     }
@@ -50,15 +32,7 @@ fn main() {
         .expect("--sched ADDR is required")
         .parse()
         .expect("--sched must be a socket address");
-    println!("bloxnoded: serving {gpus} GPUs for scheduler {sched} over {transport}");
-    run_node(&NodeConfig {
-        sched,
-        gpus,
-        reconnect,
-        faults: None,
-        transport,
-        poller,
-    })
-    .expect("node daemon");
+    println!("bloxnoded: serving {gpus} GPUs for scheduler {sched}");
+    run_node(&NodeConfig::new(sched, gpus, reconnect)).expect("node daemon");
     println!("bloxnoded: shut down");
 }

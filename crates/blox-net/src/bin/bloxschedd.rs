@@ -6,8 +6,7 @@
 //! ```text
 //! bloxschedd [--bind 127.0.0.1:0] [--nodes 1] [--jobs N | --time-limit SIM_S]
 //!            [--policy tiresias|las|fifo] [--round 300] [--time-scale 1e-4]
-//!            [--stall-rounds 10] [--transport threads|evloop] [--ev-shards 1]
-//!            [--poller auto|epoll|poll] [--backlog 1024]
+//!            [--stall-rounds 10] [--backlog 1024]
 //!            [--checkpoint PATH] [--checkpoint-every ROUNDS] [--restore PATH]
 //! ```
 //!
@@ -28,7 +27,6 @@ use std::time::{Duration, Instant};
 use blox_core::manager::{ExecMode, RunConfig, StopCondition};
 use blox_core::policy::SchedulingPolicy;
 use blox_net::sched::{read_checkpoint, serve_with, NetBackend, RecoveryOptions, SchedulerConfig};
-use blox_net::{PollerKind, TransportKind};
 use blox_policies::admission::AcceptAll;
 use blox_policies::placement::ConsolidatedPlacement;
 use blox_policies::scheduling::{Fifo, Las, Tiresias};
@@ -43,9 +41,6 @@ struct Args {
     round: f64,
     time_scale: f64,
     stall_rounds: u32,
-    transport: TransportKind,
-    ev_shards: usize,
-    poller: PollerKind,
     backlog: i32,
     checkpoint: Option<String>,
     checkpoint_every: u64,
@@ -62,9 +57,6 @@ fn parse_args() -> Args {
         round: 300.0,
         time_scale: 1e-4,
         stall_rounds: 10,
-        transport: TransportKind::Threads,
-        ev_shards: 1,
-        poller: PollerKind::Auto,
         backlog: 1024,
         checkpoint: None,
         checkpoint_every: 5,
@@ -91,15 +83,6 @@ fn parse_args() -> Args {
             "--stall-rounds" => {
                 args.stall_rounds = val("--stall-rounds").parse().expect("--stall-rounds u32")
             }
-            "--transport" => {
-                args.transport = val("--transport")
-                    .parse()
-                    .expect("--transport threads|evloop")
-            }
-            "--ev-shards" => {
-                args.ev_shards = val("--ev-shards").parse().expect("--ev-shards usize")
-            }
-            "--poller" => args.poller = val("--poller").parse().expect("--poller auto|epoll|poll"),
             "--backlog" => args.backlog = val("--backlog").parse().expect("--backlog i32"),
             "--checkpoint" => args.checkpoint = Some(val("--checkpoint")),
             "--checkpoint-every" => {
@@ -166,9 +149,6 @@ fn main() {
             emu_iter_sim_s: 30.0,
         },
         stall_rounds: args.stall_rounds,
-        transport: args.transport,
-        ev_shards: args.ev_shards,
-        poller: args.poller,
         listen_backlog: args.backlog,
         ..SchedulerConfig::default()
     };
@@ -199,13 +179,12 @@ fn main() {
 
     let s = report.stats.summary();
     println!(
-        "summary: jobs={} avg_jct={:.0} p50_jct={:.0} nodes_joined={} failures={} stalls={} transport={}",
+        "summary: jobs={} avg_jct={:.0} p50_jct={:.0} nodes_joined={} failures={} stalls={}",
         s.jobs,
         s.avg_jct,
         s.p50_jct,
         report.nodes_joined,
         report.failures_detected,
-        report.stalls_detected,
-        args.transport
+        report.stalls_detected
     );
 }

@@ -1,13 +1,12 @@
-//! Readiness-driven TCP engine: one (optionally sharded) event loop
-//! owning every connection, instead of a reader thread per socket.
+//! Readiness-driven TCP engine: one event loop owning every connection,
+//! instead of a reader thread per socket.
 //!
-//! The thread-per-connection engine in [`crate::tcp`] is simple and
-//! correct, but its cost is a stack and a scheduler entry per peer — a
-//! hard ceiling for the "tens of thousands of live clients" target. This
-//! module keeps the exact same wire protocol and `Transport`/`WireSender`
-//! contracts on a different execution model:
+//! A thread per peer costs a stack and a scheduler entry per connection —
+//! a hard ceiling for the "tens of thousands of live clients" target — so
+//! every listener and every node's scheduler link is served here, behind
+//! the runtime's `Transport`/`WireSender` contracts:
 //!
-//! * **one loop thread per shard** owns all of its connections in a
+//! * **one loop thread per pool** owns all of its connections in a
 //!   generation-tagged slab; readiness comes from a persistent
 //!   [`crate::poller::ReadinessPoller`] registration — `epoll(7)` on
 //!   Linux (O(ready) wakeups) or `poll(2)` as the portable fallback,
@@ -32,11 +31,9 @@
 //!   entries on the loop's hashed timer wheel, not one sleeping thread
 //!   per connection.
 //!
-//! [`EvTransport`] (client/node side) and the [`LoopEvent`] stream
-//! (scheduler side) are drop-in peers of `TcpTransport` and the thread
-//! engine's connection events; `NetBackend`, `bloxschedd`, and
-//! `bloxnoded` select an engine with [`TransportKind`] and a readiness
-//! backend with `--poller`.
+//! [`EvTransport`] (node side) and the [`LoopEvent`] stream (scheduler
+//! and load-generator side) speak the same wire protocol as the blocking
+//! client in [`crate::tcp`].
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -53,39 +50,19 @@ use parking_lot::Mutex;
 use crate::frame::{encode_shared, FrameBuf, SharedFrame};
 use crate::outq::OutQueue;
 use crate::poller::{new_poller, Interest, PollerKind, ReadinessPoller, ReadyEvent};
-use crate::tcp::TcpSender;
 
 // Engine selection ------------------------------------------------------------
 
-/// Which TCP engine a daemon runs its connections on.
+/// Which TCP engine a daemon runs its connections on. There is only the
+/// event loop; this one-variant enum exists because the frozen spine
+/// benchmark (`bench/`) names `TransportKind::EvLoop` in the `transport`
+/// fields of `SchedulerConfig` and `NodeConfig`. Nothing reads it, and
+/// it goes once the spine stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// One blocking reader thread per connection (`crate::tcp`).
-    #[default]
-    Threads,
     /// The readiness-driven event loop in this module.
+    #[default]
     EvLoop,
-}
-
-impl std::str::FromStr for TransportKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "threads" => Ok(TransportKind::Threads),
-            "evloop" => Ok(TransportKind::EvLoop),
-            other => Err(format!("unknown transport {other:?} (threads|evloop)")),
-        }
-    }
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TransportKind::Threads => "threads",
-            TransportKind::EvLoop => "evloop",
-        })
-    }
 }
 
 // Tokens ----------------------------------------------------------------------
@@ -102,9 +79,9 @@ pub struct Token(u64);
 const WAKER_TOKEN: u64 = u64::MAX;
 
 impl Token {
-    /// Build a token from an externally allocated id (the thread engine's
-    /// accept counter uses this; the event loop mints its own).
-    pub(crate) fn from_raw(raw: u64) -> Self {
+    /// Rebuild a token from the raw value it was registered with the
+    /// poller under.
+    fn from_raw(raw: u64) -> Self {
         Token(raw)
     }
 
@@ -133,61 +110,11 @@ impl std::fmt::Display for Token {
 
 // Events and senders ----------------------------------------------------------
 
-/// Send half of either engine's connection: the scheduler (and the load
-/// generator) hold these without caring which engine produced them.
-#[derive(Clone)]
-pub enum LinkSender {
-    /// Mutex-serialized blocking writes on a dedicated socket.
-    Thread(TcpSender),
-    /// Queue-to-the-loop writes with backpressure.
-    Ev(EvSender),
-}
-
-impl LinkSender {
-    /// Encode and send one message.
-    pub fn send(&self, msg: &Message) -> Result<()> {
-        match self {
-            LinkSender::Thread(s) => s.send(msg),
-            LinkSender::Ev(s) => s.send(msg),
-        }
-    }
-
-    /// Send a pre-encoded frame. The fan-out path: the caller encodes a
-    /// broadcast once with [`crate::frame::encode_shared`] and every
-    /// connection shares the same allocation (the event engine queues it
-    /// by reference; the thread engine writes the bytes directly).
-    pub fn send_shared(&self, frame: &SharedFrame) -> Result<()> {
-        match self {
-            LinkSender::Thread(s) => s.send_frame(frame),
-            LinkSender::Ev(s) => s.send_shared(frame),
-        }
-    }
-
-    /// Hard-close the connection.
-    pub fn shutdown(&self) {
-        match self {
-            LinkSender::Thread(s) => s.shutdown(),
-            LinkSender::Ev(s) => s.shutdown(),
-        }
-    }
-}
-
-impl WireSender for LinkSender {
-    fn send(&self, msg: &Message) -> Result<()> {
-        LinkSender::send(self, msg)
-    }
-
-    fn clone_sender(&self) -> Box<dyn WireSender> {
-        Box::new(self.clone())
-    }
-}
-
-/// One connection-lifecycle event from either engine, delivered into the
-/// consumer's event channel (the scheduler's round loop, the load
-/// generator's collector).
+/// One connection-lifecycle event, delivered into the consumer's event
+/// channel (the scheduler's round loop, the load generator's collector).
 pub enum LoopEvent {
     /// A new connection, with its send half.
-    Connected(Token, LinkSender),
+    Connected(Token, EvSender),
     /// A decoded message plus its wall-clock arrival stamp (taken where
     /// the frame was decoded, so heartbeat freshness is measured from
     /// when the beat landed, not from when the consumer drained it).
@@ -523,23 +450,19 @@ impl TimerWheel {
 /// Event-loop pool configuration.
 #[derive(Debug, Clone)]
 pub struct EvLoopConfig {
-    /// Loop threads; connections are assigned round-robin at
-    /// registration. One shard is right until a single core saturates.
-    pub shards: usize,
     /// Slow-client policy: a connection whose outbound queue exceeds this
     /// many bytes after a flush attempt is disconnected (the peer has
     /// stopped reading; unbounded buffering would turn one slow client
     /// into scheduler memory growth).
     pub max_out_bytes: usize,
-    /// Readiness backend each shard runs on (`Auto` picks epoll on
-    /// Linux, poll elsewhere).
+    /// Readiness backend the loop runs on (`Auto` picks epoll on Linux,
+    /// poll elsewhere).
     pub poller: PollerKind,
 }
 
 impl Default for EvLoopConfig {
     fn default() -> Self {
         EvLoopConfig {
-            shards: 1,
             max_out_bytes: 8 * 1024 * 1024,
             poller: PollerKind::Auto,
         }
@@ -558,74 +481,59 @@ enum Cmd {
     Stop,
 }
 
-/// A running pool of event-loop shards. Dropping the pool stops every
-/// shard (after a brief best-effort flush of pending writes).
+/// A running event loop and the handle connections are registered
+/// through. Dropping the pool stops the loop (after a brief best-effort
+/// flush of pending writes).
 pub struct EvLoopPool {
-    shards: Vec<ShardHandle>,
-    next: AtomicUsize,
-}
-
-struct ShardHandle {
     cmds: Sender<Cmd>,
     waker: Waker,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl EvLoopPool {
-    /// Spawn the shard threads, each with its own readiness backend of
-    /// `cfg.poller`'s kind (an epoll instance per shard; a pollfd set
-    /// per shard).
+    /// Spawn the loop thread on a readiness backend of `cfg.poller`'s
+    /// kind.
     pub fn new(cfg: EvLoopConfig) -> Result<Self> {
-        let mut shards = Vec::new();
-        for i in 0..cfg.shards.max(1) {
-            let poller = new_poller(cfg.poller)
-                .map_err(|e| BloxError::Transport(format!("create {} poller: {e}", cfg.poller)))?;
-            #[cfg(unix)]
-            let (waker, waker_rx) =
-                waker_pair().map_err(|e| BloxError::Transport(format!("event loop waker: {e}")))?;
-            #[cfg(not(unix))]
-            let waker = Waker {};
-            let (tx, rx) = unbounded();
-            let cfg2 = cfg.clone();
-            let tx2 = tx.clone();
-            let waker2 = waker.clone();
-            let thread = std::thread::Builder::new()
-                .name(format!("blox-evloop-{i}"))
-                .spawn(move || {
-                    let mut shard = ShardState::new(cfg2, poller, tx2, waker2);
-                    #[cfg(unix)]
-                    shard.run(rx, waker_rx);
-                    #[cfg(not(unix))]
-                    shard.run(rx);
-                })
-                .map_err(|e| BloxError::Transport(format!("spawn event loop: {e}")))?;
-            shards.push(ShardHandle {
-                cmds: tx,
-                waker,
-                thread: Some(thread),
-            });
-        }
+        let poller = new_poller(cfg.poller)
+            .map_err(|e| BloxError::Transport(format!("create {} poller: {e}", cfg.poller)))?;
+        #[cfg(unix)]
+        let (waker, waker_rx) =
+            waker_pair().map_err(|e| BloxError::Transport(format!("event loop waker: {e}")))?;
+        #[cfg(not(unix))]
+        let waker = Waker {};
+        let (cmds, rx) = unbounded();
+        let cmds2 = cmds.clone();
+        let waker2 = waker.clone();
+        let thread = std::thread::Builder::new()
+            .name("blox-evloop".into())
+            .spawn(move || {
+                let mut state = LoopState::new(cfg, poller, cmds2, waker2);
+                #[cfg(unix)]
+                state.run(rx, waker_rx);
+                #[cfg(not(unix))]
+                state.run(rx);
+            })
+            .map_err(|e| BloxError::Transport(format!("spawn event loop: {e}")))?;
         Ok(EvLoopPool {
-            shards,
-            next: AtomicUsize::new(0),
+            cmds,
+            waker,
+            thread: Some(thread),
         })
     }
 
-    /// Hand a connected stream to a shard (round-robin) and get its send
-    /// half back. The loop delivers a `LoopEvent::Connected` first (for
+    /// Hand a connected stream to the loop and get its send half back.
+    /// The loop delivers a `LoopEvent::Connected` first (for
     /// [`Delivery::Events`] consumers) and owns the socket from here on.
     pub fn register(&self, stream: TcpStream, delivery: Delivery) -> Result<EvSender> {
-        let shard = &self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
         let (reply_tx, reply_rx) = unbounded();
-        shard
-            .cmds
+        self.cmds
             .send(Cmd::Register {
                 stream,
                 delivery,
                 reply: reply_tx,
             })
             .map_err(|_| BloxError::Transport("event loop is gone".into()))?;
-        shard.waker.wake();
+        self.waker.wake();
         reply_rx
             .recv_timeout(Duration::from_secs(5))
             .map_err(|_| BloxError::Transport("event loop did not accept the connection".into()))
@@ -634,17 +542,15 @@ impl EvLoopPool {
 
 impl Drop for EvLoopPool {
     fn drop(&mut self) {
-        for shard in &mut self.shards {
-            let _ = shard.cmds.send(Cmd::Stop);
-            shard.waker.wake();
-            if let Some(t) = shard.thread.take() {
-                let _ = t.join();
-            }
+        let _ = self.cmds.send(Cmd::Stop);
+        self.waker.wake();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
     }
 }
 
-/// The process-wide default pool (one shard, auto-detected poller), for
+/// The process-wide default pool (auto-detected poller), for
 /// node daemons and clients that just need "an event loop" without
 /// managing a pool.
 pub fn global_pool() -> &'static EvLoopPool {
@@ -653,8 +559,8 @@ pub fn global_pool() -> &'static EvLoopPool {
 
 /// A process-wide shared pool pinned to a readiness backend: `Auto`
 /// resolves per platform, and the epoll / poll pools are distinct
-/// singletons so daemons pinned to different backends (differential
-/// tests, `--poller` overrides) never share loop threads.
+/// singletons so daemons pinned to different backends (the differential
+/// tests) never share a loop thread.
 pub fn shared_pool(kind: PollerKind) -> &'static EvLoopPool {
     static EPOLL: OnceLock<EvLoopPool> = OnceLock::new();
     static POLL: OnceLock<EvLoopPool> = OnceLock::new();
@@ -735,8 +641,8 @@ impl Slab {
     }
 }
 
-/// Per-shard loop state.
-struct ShardState {
+/// Loop-thread state.
+struct LoopState {
     cfg: EvLoopConfig,
     slab: Slab,
     wheel: TimerWheel,
@@ -746,14 +652,14 @@ struct ShardState {
     waker: Waker,
 }
 
-impl ShardState {
+impl LoopState {
     fn new(
         cfg: EvLoopConfig,
         poller: Box<dyn ReadinessPoller>,
         cmds_tx: Sender<Cmd>,
         waker: Waker,
     ) -> Self {
-        ShardState {
+        LoopState {
             cfg,
             slab: Slab::default(),
             wheel: TimerWheel::new(Instant::now()),
@@ -893,7 +799,7 @@ impl ShardState {
                 if let Some(conn) = self.slab.get_mut(token) {
                     if let Delivery::Events(tx) = &conn.delivery {
                         if tx
-                            .send(LoopEvent::Connected(token, LinkSender::Ev(sender.clone())))
+                            .send(LoopEvent::Connected(token, sender.clone()))
                             .is_err()
                         {
                             self.disconnect(token, "event receiver dropped");
@@ -916,7 +822,7 @@ impl ShardState {
             Cmd::Close(token) => {
                 // Deliberate local close: give buffered frames (e.g. the
                 // final Shutdown broadcast) a bounded chance to reach the
-                // peer, matching the thread engine's blocking write.
+                // peer.
                 let deadline = Instant::now() + Duration::from_millis(50);
                 while self
                     .slab

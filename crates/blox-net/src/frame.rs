@@ -1,11 +1,12 @@
-//! The one u32 length-prefix framing implementation both TCP engines use.
+//! The one u32 length-prefix framing implementation both ends of a link
+//! use.
 //!
 //! TCP is a byte stream; every [`Message`] crosses it as
-//! `[len: u32 LE][payload: len bytes]`. The thread-per-connection
-//! transport ([`crate::tcp`]) and the readiness-driven event loop
+//! `[len: u32 LE][payload: len bytes]`. The blocking client
+//! ([`crate::tcp`]) and the readiness-driven event loop
 //! ([`crate::event_loop`]) both encode with [`encode_frame`] /
 //! [`encode_frame_into`] and both reassemble with [`FrameBuf`], so a
-//! framing bug cannot exist in one engine and not the other.
+//! framing bug cannot exist on one side and not the other.
 //!
 //! A length prefix above [`MAX_FRAME_BYTES`] is rejected *before* any
 //! allocation happens: a corrupt or hostile prefix must cost an error,

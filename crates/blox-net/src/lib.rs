@@ -8,22 +8,24 @@
 //! processes:
 //!
 //! * [`frame`] — the one u32 length-prefix framing implementation
-//!   (encode + streaming reassembly with an oversize guard) both TCP
-//!   engines share;
-//! * [`tcp`] — a [`TcpTransport`] implementing the
+//!   (encode + streaming reassembly with an oversize guard) the event
+//!   loop and the blocking client share;
+//! * [`tcp`] — the blocking client: a [`TcpTransport`] implementing the
 //!   runtime's `Transport` contract with length-prefixed frames over
-//!   `std::net` sockets (no new dependencies), one reader thread per
-//!   connection;
+//!   `std::net` sockets (no new dependencies), used by `blox-submit` and
+//!   test/benchmark peers;
 //! * [`poller`] — the readiness backends: `epoll(7)` (Linux, O(ready)
 //!   wakeups) and `poll(2)` (portable fallback) behind one persistent-
-//!   registration [`poller::ReadinessPoller`] contract;
+//!   registration [`poller::ReadinessPoller`] contract, chosen by the
+//!   platform;
 //! * [`outq`] — the zero-copy outbound queue: refcounted
 //!   [`frame::SharedFrame`] chunks drained by `writev(2)` scatter-gather
 //!   with exact partial-write accounting;
-//! * [`event_loop`] — the readiness-driven engine: a sharded loop owning
-//!   all connections in a slab, with batched decode, write
-//!   backpressure, and timer-wheel heartbeats — the same wire protocol
-//!   with no per-connection threads, for tens of thousands of clients;
+//! * [`event_loop`] — the one server-side engine: a readiness loop
+//!   owning all connections in a slab, with batched decode, write
+//!   backpressure, and timer-wheel heartbeats — no per-connection
+//!   threads, for tens of thousands of clients. It serves the
+//!   scheduler's listener and every node's scheduler link;
 //! * [`loadgen`] — open-loop SubmitJob traffic generation (the
 //!   `blox-loadgen` binary) with submit→accepted latency percentiles;
 //! * [`sched`] — the `bloxschedd` side: a [`NetBackend`]
@@ -55,8 +57,8 @@ pub mod tcp;
 
 pub use client::{submit, submit_paced, submit_timed, JobRequest};
 pub use event_loop::{
-    global_pool, shared_pool, Delivery, EvLoopConfig, EvLoopPool, EvSender, EvTransport,
-    LinkSender, LoopEvent, Token, TransportKind,
+    global_pool, shared_pool, Delivery, EvLoopConfig, EvLoopPool, EvSender, EvTransport, LoopEvent,
+    Token, TransportKind,
 };
 pub use frame::{
     encode_frame, encode_frame_into, encode_shared, FrameBuf, SharedFrame, MAX_FRAME_BYTES,

@@ -47,7 +47,12 @@ impl Pacer {
     /// How many events are due by now and not yet taken; the returned
     /// count is recorded as taken.
     pub fn due_now(&mut self) -> u64 {
-        let due = (self.start.elapsed().as_secs_f64() * self.rate) as u64;
+        self.due_at(self.start.elapsed())
+    }
+
+    /// [`Pacer::due_now`] for an explicit time since the pacer started.
+    pub fn due_at(&mut self, elapsed: Duration) -> u64 {
+        let due = (elapsed.as_secs_f64() * self.rate) as u64;
         let take = due.saturating_sub(self.sent);
         self.sent += take;
         take
@@ -349,13 +354,14 @@ mod tests {
     #[test]
     fn pacer_is_open_loop_and_exact() {
         let mut pacer = Pacer::new(10_000.0);
-        std::thread::sleep(Duration::from_millis(20));
-        let due = pacer.due_now();
-        // 20 ms at 10k/s is ~200 events; allow generous scheduler slack.
-        assert!(due >= 100, "due {due} after 20ms at 10k/s");
-        assert!(due <= 2_000, "due {due} is absurd");
-        assert_eq!(pacer.due_now(), 0, "taken events are not due again");
-        assert_eq!(pacer.taken(), due);
+        let ms = Duration::from_millis;
+        assert_eq!(pacer.due_at(ms(20)), 200, "20 ms at 10k/s");
+        assert_eq!(pacer.due_at(ms(20)), 0, "taken events are not due again");
+        // Open loop: a stalled caller is owed the whole backlog, and time
+        // running backwards never un-takes an event.
+        assert_eq!(pacer.due_at(ms(1020)), 10_000);
+        assert_eq!(pacer.due_at(ms(500)), 0);
+        assert_eq!(pacer.taken(), 10_200);
     }
 
     #[test]

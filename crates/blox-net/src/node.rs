@@ -9,11 +9,10 @@
 //! re-registration — the scheduler sees the return as a fresh node joining
 //! (node re-add churn).
 //!
-//! The scheduler link runs on either TCP engine
-//! ([`NodeConfig::transport`]): under `Threads` a background thread
-//! sleeps between heartbeats; under `EvLoop` the beats are timer-wheel
-//! entries on the shared event loop and the daemon spawns no
-//! per-connection threads at all.
+//! The scheduler link runs on the process-wide shared event loop
+//! ([`crate::event_loop::shared_pool`]): heartbeats are timer-wheel
+//! entries on that loop and the daemon spawns no per-connection threads
+//! at all (a fault plan is the one exception — see `serve_session`).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,9 +28,8 @@ use blox_runtime::runtime::{RuntimeConfig, ServeEnd, SimClock, WorkerManager};
 use blox_runtime::wire::{Message, Transport, WireSender};
 use parking_lot::Mutex;
 
-use crate::event_loop::{shared_pool, EvTransport, LinkSender, TransportKind};
+use crate::event_loop::{shared_pool, EvSender, EvTransport, TransportKind};
 use crate::poller::PollerKind;
-use crate::tcp::TcpTransport;
 
 /// Node-manager daemon configuration.
 #[derive(Debug, Clone)]
@@ -50,10 +48,12 @@ pub struct NodeConfig {
     /// Commands (scheduler → node) and status/heartbeat traffic
     /// (node → scheduler) draw from two decorrelated per-node streams.
     pub faults: Option<FaultPlan>,
-    /// Which TCP engine carries the scheduler link.
+    /// Vestigial: the event loop is the only engine. The field stays
+    /// because the frozen spine benchmark (`bench/`) names it.
     pub transport: TransportKind,
-    /// Readiness backend for the event-loop engine (`Auto` picks epoll
-    /// on Linux; ignored under `TransportKind::Threads`).
+    /// Readiness backend of the shared event loop carrying the scheduler
+    /// link. `Auto` lets the platform pick (epoll on Linux, poll
+    /// elsewhere); the differential tests pin one.
     pub poller: PollerKind,
 }
 
@@ -65,7 +65,7 @@ impl NodeConfig {
             gpus,
             reconnect,
             faults: None,
-            transport: TransportKind::Threads,
+            transport: TransportKind::EvLoop,
             poller: PollerKind::Auto,
         }
     }
@@ -73,19 +73,10 @@ impl NodeConfig {
 
 /// One registration session: register, get assigned, serve until the
 /// link drops or the scheduler orders a shutdown.
-fn serve_session(cfg: &NodeConfig, live: &Mutex<Option<LinkSender>>) -> Result<ServeEnd> {
-    let (link, raw_sender): (Box<dyn Transport>, LinkSender) = match cfg.transport {
-        TransportKind::Threads => {
-            let t = TcpTransport::connect(cfg.sched)?;
-            let s = LinkSender::Thread(t.sender());
-            (Box::new(t), s)
-        }
-        TransportKind::EvLoop => {
-            let t = EvTransport::connect(cfg.sched, shared_pool(cfg.poller))?;
-            let s = LinkSender::Ev(t.sender());
-            (Box::new(t), s)
-        }
-    };
+fn serve_session(cfg: &NodeConfig, live: &Mutex<Option<EvSender>>) -> Result<ServeEnd> {
+    let link = EvTransport::connect(cfg.sched, shared_pool(cfg.poller))?;
+    let raw_sender = link.sender();
+    let link: Box<dyn Transport> = Box::new(link);
     *live.lock() = Some(raw_sender.clone());
     link.send(&Message::RegisterWorker {
         node: NodeId(0), // Placeholder: identity is assigned by the scheduler.
@@ -144,31 +135,28 @@ fn serve_session(cfg: &NodeConfig, live: &Mutex<Option<LinkSender>>) -> Result<S
     };
 
     // Liveness beacons; the failure detector declares this node dead
-    // after a configurable number of missed intervals. On the event loop
-    // (fault-free case) the beats ride the loop's timer wheel — no
-    // thread. With faults active they must pass through the decorated
-    // sender, so a beater thread paces them instead.
+    // after a configurable number of missed intervals. Fault-free, the
+    // beats ride the loop's timer wheel — no thread. With faults active
+    // they must pass through the decorated sender, so a beater thread
+    // paces them instead.
     let hb_wall = Duration::from_secs_f64((heartbeat_sim_s * time_scale).max(1e-3));
     let hb_stop = Arc::new(AtomicBool::new(false));
-    let heartbeat: Option<JoinHandle<()>> = match &raw_sender {
-        LinkSender::Ev(s) if !faulty => {
-            s.start_heartbeat(node, hb_wall);
-            None
-        }
-        _ => {
-            let hb_stop2 = hb_stop.clone();
-            let hb_tx = up.clone_sender();
-            Some(std::thread::spawn(move || {
-                let mut seq = 0u64;
-                while !hb_stop2.load(Ordering::Relaxed) {
-                    if hb_tx.send(&Message::Heartbeat { node, seq }).is_err() {
-                        return;
-                    }
-                    seq += 1;
-                    std::thread::sleep(hb_wall);
+    let heartbeat: Option<JoinHandle<()>> = if faulty {
+        let hb_stop2 = hb_stop.clone();
+        let hb_tx = up.clone_sender();
+        Some(std::thread::spawn(move || {
+            let mut seq = 0u64;
+            while !hb_stop2.load(Ordering::Relaxed) {
+                if hb_tx.send(&Message::Heartbeat { node, seq }).is_err() {
+                    return;
                 }
-            }))
-        }
+                seq += 1;
+                std::thread::sleep(hb_wall);
+            }
+        }))
+    } else {
+        raw_sender.start_heartbeat(node, hb_wall);
+        None
     };
 
     let end = manager.serve(cmd.as_ref(), up.as_ref());
@@ -180,7 +168,7 @@ fn serve_session(cfg: &NodeConfig, live: &Mutex<Option<LinkSender>>) -> Result<S
     Ok(end)
 }
 
-fn run_with(cfg: &NodeConfig, stop: &AtomicBool, live: &Mutex<Option<LinkSender>>) -> Result<()> {
+fn run_with(cfg: &NodeConfig, stop: &AtomicBool, live: &Mutex<Option<EvSender>>) -> Result<()> {
     loop {
         if stop.load(Ordering::Relaxed) {
             return Ok(());
@@ -207,7 +195,7 @@ pub fn run_node(cfg: &NodeConfig) -> Result<()> {
 /// Handle onto an in-process node daemon thread (tests, examples).
 pub struct NodeHandle {
     stop: Arc<AtomicBool>,
-    live: Arc<Mutex<Option<LinkSender>>>,
+    live: Arc<Mutex<Option<EvSender>>>,
     thread: JoinHandle<Result<()>>,
 }
 

@@ -11,13 +11,15 @@
 //! costs O(ready) — the kernel hands back only the fds with events — so
 //! ten thousand idle connections cost a sleeping loop nothing.
 //!
-//! Two production backends implement the contract, selected by
-//! [`PollerKind`] (daemon flag `--poller {epoll,poll}`, default
-//! auto-detect):
+//! Two production backends implement the contract. The platform picks
+//! between them ([`PollerKind::Auto`], the default everywhere: epoll on
+//! Linux, poll elsewhere); pinning a concrete [`PollerKind`] is a
+//! library-level choice for the differential tests and the `netload`
+//! comparison bench, not a daemon flag:
 //!
 //! * [`EpollPoller`] — raw extern-C FFI over `epoll_create1` /
 //!   `epoll_ctl` / `epoll_wait`, Linux only, level-triggered (the exact
-//!   readiness semantics of the poll engine, so the two are
+//!   readiness semantics of the poll backend, so the two are
 //!   behaviorally interchangeable);
 //! * [`PollPoller`] — the portable fallback: a persistent `pollfd` set
 //!   maintained incrementally (register/modify/deregister patch the
@@ -36,7 +38,7 @@ use std::time::Duration;
 /// OS-level file descriptor as the poller sees it.
 pub type RawFd = i32;
 
-/// Which readiness backend an event-loop shard runs on.
+/// Which readiness backend an event loop runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PollerKind {
     /// Auto-detect: [`PollerKind::Epoll`] on Linux, [`PollerKind::Poll`]
@@ -350,7 +352,7 @@ mod epoll {
         EPOLLIN | EPOLLRDHUP | if interest.writable { EPOLLOUT } else { 0 }
     }
 
-    /// The Linux backend: one epoll instance per loop shard, O(ready)
+    /// The Linux backend: one epoll instance per event loop, O(ready)
     /// wakeups, interest persisted in the kernel.
     pub struct EpollPoller {
         epfd: i32,

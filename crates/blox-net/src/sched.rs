@@ -5,9 +5,9 @@
 //! and placement policy — drives a cluster of real `bloxnoded` processes
 //! over TCP:
 //!
-//! * a listener thread accepts worker and client connections on an
-//!   ephemeral loopback port (`127.0.0.1:0` by default) and streams their
-//!   decoded messages into one event channel;
+//! * an accept thread hands every worker and client connection on an
+//!   ephemeral loopback port (`127.0.0.1:0` by default) to the event
+//!   loop, which streams their decoded messages into one event channel;
 //! * worker registrations grow the shared [`ClusterState`] and are answered
 //!   with an [`Message::AssignNode`] carrying identity, a clock-sync point,
 //!   and the heartbeat contract;
@@ -43,11 +43,11 @@ use blox_workloads::ModelZoo;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::event_loop::{
-    Delivery, EvLoopConfig, EvLoopPool, LinkSender, LoopEvent, Token, TransportKind,
+    Delivery, EvLoopConfig, EvLoopPool, EvSender, LoopEvent, Token, TransportKind,
 };
-use crate::frame::{encode_shared, read_frame, FrameBuf};
+use crate::frame::encode_shared;
 use crate::poller::PollerKind;
-use crate::tcp::{listen_with_backlog, TcpSender};
+use crate::tcp::listen_with_backlog;
 
 /// Floor on the failure-detection deadline, in wall seconds: below this,
 /// OS scheduling jitter on a loopback deployment would yield spurious
@@ -72,15 +72,12 @@ pub struct SchedulerConfig {
     /// `Progress`, and `JobDone` messages on a lossy link. `0` disables
     /// stall detection.
     pub stall_rounds: u32,
-    /// Which TCP engine serves the listener: one reader thread per
-    /// connection, or the readiness-driven event loop (required past a
-    /// few hundred concurrent clients).
+    /// Vestigial: the event loop is the only engine. The field stays
+    /// because the frozen spine benchmark (`bench/`) names it.
     pub transport: TransportKind,
-    /// Event-loop shard count (ignored under `TransportKind::Threads`).
-    pub ev_shards: usize,
-    /// Readiness backend the event-loop shards run on (`Auto` picks
-    /// epoll on Linux, poll elsewhere; ignored under
-    /// `TransportKind::Threads`).
+    /// Readiness backend the event loop runs on. `Auto` lets the platform
+    /// pick (epoll on Linux, poll elsewhere); the differential tests pin
+    /// one.
     pub poller: PollerKind,
     /// `listen(2)` backlog for the accept socket. A connect burst from a
     /// ramping client fleet beyond this depth gets SYNs dropped and
@@ -100,8 +97,7 @@ impl Default for SchedulerConfig {
             heartbeat_sim_s: 60.0,
             heartbeat_misses: 3,
             stall_rounds: 10,
-            transport: TransportKind::Threads,
-            ev_shards: 1,
+            transport: TransportKind::EvLoop,
             poller: PollerKind::Auto,
             listen_backlog: 1024,
             pod: 0,
@@ -138,61 +134,14 @@ enum Role {
 }
 
 struct Conn {
-    sender: LinkSender,
+    sender: EvSender,
     role: Role,
 }
 
-/// Thread-engine accept loop: one blocking reader thread per accepted
-/// connection, all decoding into the shared event channel.
-fn listen_loop(listener: TcpListener, events: Sender<LoopEvent>, stop: Arc<AtomicBool>) {
-    let _ = listener.set_nonblocking(true);
-    let mut next: u64 = 0;
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let id = Token::from_raw(next);
-                next += 1;
-                let _ = stream.set_nodelay(true);
-                let Ok(mut reader) = stream.try_clone() else {
-                    continue;
-                };
-                if events
-                    .send(LoopEvent::Connected(
-                        id,
-                        LinkSender::Thread(TcpSender::new(stream)),
-                    ))
-                    .is_err()
-                {
-                    return; // Backend gone.
-                }
-                let events = events.clone();
-                std::thread::spawn(move || {
-                    let mut buf = FrameBuf::new();
-                    while let Ok(frame) = read_frame(&mut reader, &mut buf) {
-                        // A frame that fails to decode is a protocol
-                        // violation: drop the connection.
-                        let Ok(msg) = Message::decode(&frame) else {
-                            break;
-                        };
-                        if events
-                            .send(LoopEvent::Msg(id, msg, Instant::now()))
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    let _ = events.send(LoopEvent::Closed(id));
-                });
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-/// Event-loop-engine accept loop: every accepted socket is registered
-/// with the shared pool, which decodes and stamps messages itself — no
-/// per-connection thread is ever spawned.
-fn accept_loop_ev(
+/// Accept loop: every accepted socket is registered with the event
+/// loop, which decodes and stamps messages itself — no per-connection
+/// thread is ever spawned.
+fn accept_loop(
     listener: TcpListener,
     pool: Arc<EvLoopPool>,
     events: Sender<LoopEvent>,
@@ -221,11 +170,10 @@ pub struct NetBackend {
     addr: SocketAddr,
     events: Receiver<LoopEvent>,
     stop: Arc<AtomicBool>,
-    /// Keeps the event-loop shards alive (None under the thread engine).
-    /// `Drop for NetBackend` broadcasts Shutdown frames before this Arc
-    /// falls; per-shard command queues are FIFO, so those frames flush
-    /// before the pool's Stop closes the loops.
-    _pool: Option<Arc<EvLoopPool>>,
+    /// Keeps the event loop alive. `Drop for NetBackend` broadcasts
+    /// Shutdown frames before this Arc falls; the loop's command queue is
+    /// FIFO, so those frames flush before the pool's Stop closes the loop.
+    _pool: Arc<EvLoopPool>,
     conns: BTreeMap<Token, Conn>,
     node_conn: BTreeMap<NodeId, Token>,
     /// Wall-clock arrival time of each live node's last heartbeat.
@@ -279,22 +227,12 @@ impl NetBackend {
         let (tx, events) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let pool = match cfg.transport {
-            TransportKind::Threads => {
-                std::thread::spawn(move || listen_loop(listener, tx, stop2));
-                None
-            }
-            TransportKind::EvLoop => {
-                let pool = Arc::new(EvLoopPool::new(EvLoopConfig {
-                    shards: cfg.ev_shards.max(1),
-                    poller: cfg.poller,
-                    ..EvLoopConfig::default()
-                })?);
-                let pool2 = pool.clone();
-                std::thread::spawn(move || accept_loop_ev(listener, pool2, tx, stop2));
-                Some(pool)
-            }
-        };
+        let pool = Arc::new(EvLoopPool::new(EvLoopConfig {
+            poller: cfg.poller,
+            ..EvLoopConfig::default()
+        })?);
+        let pool2 = pool.clone();
+        std::thread::spawn(move || accept_loop(listener, pool2, tx, stop2));
         let clock = Arc::new(SimClock::new(cfg.runtime.time_scale));
         Ok(NetBackend {
             addr,
@@ -693,10 +631,10 @@ impl NetBackend {
     }
 
     /// Send one command to a worker. A failed send is a failure-detector
-    /// verdict in its own right: the link is poisoned (thread engine) or
-    /// closed (event loop), so the node is declared dead immediately —
-    /// its jobs requeue on the next `update_metrics` — instead of
-    /// waiting out the heartbeat deadline on a corpse.
+    /// verdict in its own right: the event loop has closed the link, so
+    /// the node is declared dead immediately — its jobs requeue on the
+    /// next `update_metrics` — instead of waiting out the heartbeat
+    /// deadline on a corpse.
     fn send_to(&mut self, node: NodeId, msg: &Message, cluster: &mut ClusterState) {
         let sender = self
             .node_conn
@@ -710,9 +648,18 @@ impl NetBackend {
         }
     }
 
-    /// Wait (bounded) for a job's suspension ack, applying other traffic
-    /// as it arrives; propagates two-phase `ExitAt` decisions to peers.
-    fn wait_for_suspension(&mut self, job: JobId, cluster: &mut ClusterState, jobs: &mut JobState) {
+    /// Wait (bounded) for a job's suspension ack from `rank0`, applying
+    /// other traffic as it arrives; propagates two-phase `ExitAt`
+    /// decisions to peers. No ack is coming — so the wait ends at once —
+    /// when the job's `JobDone` crossed the `Revoke` (it is no longer
+    /// `Running`) or `rank0` has been declared dead.
+    fn wait_for_suspension(
+        &mut self,
+        job: JobId,
+        rank0: NodeId,
+        cluster: &mut ClusterState,
+        jobs: &mut JobState,
+    ) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
             while let Some(msg) = self.pending_status.pop_front() {
@@ -741,6 +688,13 @@ impl NetBackend {
                     other => apply_status_message(other, cluster, jobs),
                 }
             }
+            let running = jobs
+                .get(job)
+                .is_some_and(|j| j.status == JobStatus::Running);
+            let rank0_alive = cluster.node(rank0).is_some_and(|n| n.alive);
+            if !running || !rank0_alive {
+                return;
+            }
             match self.events.recv_timeout(Duration::from_millis(20)) {
                 Ok(ev) => self.process_event(ev, cluster),
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
@@ -753,9 +707,9 @@ impl NetBackend {
 impl Drop for NetBackend {
     fn drop(&mut self) {
         // Orderly teardown: tell every worker to exit, stop the listener,
-        // and close all sockets so reader threads unblock. The Shutdown
-        // broadcast is the canonical fan-out frame: encoded once, shared
-        // by `Arc` across every worker's outbound queue.
+        // and close all sockets. The Shutdown broadcast is the canonical
+        // fan-out frame: encoded once, shared by `Arc` across every
+        // worker's outbound queue.
         self.stop.store(true, Ordering::Relaxed);
         let goodbye = encode_shared(&Message::Shutdown).expect("Shutdown frame is a few bytes");
         for conn in self.conns.values() {
@@ -856,7 +810,7 @@ impl Backend for NetBackend {
                 continue;
             };
             self.send_to(rank0, &Message::Revoke { job: *id }, cluster);
-            self.wait_for_suspension(*id, cluster, jobs);
+            self.wait_for_suspension(*id, rank0, cluster, jobs);
         }
 
         // Shared-state transitions, exactly as the other backends.
@@ -1105,6 +1059,91 @@ mod tests {
     fn flat_round(backend: &mut NetBackend, cluster: &mut ClusterState, jobs: &mut JobState) {
         backend.advance_round(300.0);
         backend.update_metrics(cluster, jobs, 300.0);
+    }
+
+    /// A backend plus one live 4-GPU node hosting `flat_running_job(0)` on
+    /// its first GPU. The node has no connection, so commands sent to it
+    /// go nowhere — the worker side of each test is scripted.
+    fn backend_with_running_job() -> (NetBackend, ClusterState, JobState) {
+        let backend = NetBackend::bind(SchedulerConfig::default()).expect("bind ephemeral");
+        let mut cluster = ClusterState::new();
+        cluster.add_node(node_spec(4));
+        let mut job = flat_running_job(0);
+        job.placement = vec![cluster.free_gpus()[0]];
+        cluster
+            .allocate(job.id, &job.placement, job.profile.gpu_mem_gb)
+            .expect("first GPU is free");
+        let mut jobs = JobState::new();
+        jobs.add_new_jobs(vec![job]);
+        (backend, cluster, jobs)
+    }
+
+    fn suspend_job_0() -> Placement {
+        Placement {
+            to_suspend: vec![JobId(0)],
+            to_launch: vec![],
+        }
+    }
+
+    /// `Revoke` × `JobDone`: the job finished on the worker just before
+    /// the scheduler revoked its lease, so its `JobDone` is already
+    /// queued when `exec_jobs` sends the `Revoke` and no `JobSuspended`
+    /// will ever come. The wait must end when the `JobDone` is applied,
+    /// not sit out its 5 s bound.
+    #[test]
+    fn revoke_crossing_job_done_does_not_wait_for_a_suspension_ack() {
+        let (mut backend, mut cluster, mut jobs) = backend_with_running_job();
+        backend.pending_status.push_back(Message::JobDone {
+            job: JobId(0),
+            sim_time: 42.0,
+        });
+
+        let t0 = Instant::now();
+        let outcome = backend.exec_jobs(&suspend_job_0(), &mut cluster, &mut jobs);
+        let waited = t0.elapsed();
+
+        assert!(
+            waited < Duration::from_millis(100),
+            "waited {waited:?} for an ack that cannot come"
+        );
+        assert!(outcome.is_clean(), "skipped: {:?}", outcome.skipped);
+        assert!(
+            outcome.suspended.is_empty(),
+            "a finished job is not suspended"
+        );
+        let job = jobs
+            .get(JobId(0))
+            .expect("completed jobs stay until pruned");
+        assert_eq!(job.status, JobStatus::Completed);
+        assert_eq!(job.completion_time, Some(42.0));
+        assert_eq!(job.preemptions, 0);
+        assert_eq!(
+            jobs.prune_completed(),
+            vec![JobId(0)],
+            "completed exactly once"
+        );
+        assert_eq!(cluster.free_gpu_count(), 4);
+    }
+
+    /// A dead rank-0 node cannot ack either: the job is suspended on the
+    /// scheduler's side at once and its GPUs are released.
+    #[test]
+    fn revoke_to_a_dead_node_does_not_wait_for_a_suspension_ack() {
+        let (mut backend, mut cluster, mut jobs) = backend_with_running_job();
+        let node = cluster.nodes().next().expect("one node").id;
+        backend.declare_dead(node, &mut cluster);
+
+        let t0 = Instant::now();
+        let outcome = backend.exec_jobs(&suspend_job_0(), &mut cluster, &mut jobs);
+        let waited = t0.elapsed();
+
+        assert!(
+            waited < Duration::from_millis(100),
+            "waited {waited:?} on a dead node"
+        );
+        assert!(outcome.is_clean(), "skipped: {:?}", outcome.skipped);
+        assert_eq!(outcome.suspended, vec![JobId(0)]);
+        assert_eq!(cluster.job_gpu_count(JobId(0)), 0);
     }
 
     /// Recovery-path regression for the stall detector: the per-job

@@ -1,11 +1,14 @@
-//! Thread-per-connection TCP engine for the runtime wire protocol.
+//! Blocking framed TCP client for the runtime wire protocol, plus the
+//! listener bind helper.
 //!
 //! TCP is a byte stream, so every [`Message`] crosses the wire as a
 //! little-endian `u32` length prefix plus payload — the framing lives in
-//! [`crate::frame`], shared bit-for-bit with the event-loop engine. A
-//! [`TcpTransport`] owns a background reader thread that reassembles
-//! frames into a channel, giving the exact blocking / non-blocking /
-//! timeout receive semantics of `blox_runtime::wire::Endpoint`.
+//! [`crate::frame`], shared bit-for-bit with the event loop that serves
+//! the other end. A [`TcpTransport`] is the client side (`blox-submit`,
+//! benchmark generators, test peers): it owns a background reader thread
+//! that reassembles frames into a channel, giving the exact blocking /
+//! non-blocking / timeout receive semantics of
+//! `blox_runtime::wire::Endpoint`. Nothing server-side uses it.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -144,28 +147,6 @@ impl TcpSender {
         if let Err(e) = inner.stream.write_all(&frame) {
             // The peer may have received a torn frame; nothing sane can
             // follow it on this socket.
-            let why = e.to_string();
-            inner.poisoned = Some(why.clone());
-            let _ = inner.stream.shutdown(Shutdown::Both);
-            return Err(BloxError::Transport(format!(
-                "tcp send failed, connection poisoned: {why}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Send one pre-encoded frame (prefix + payload bytes, e.g. a
-    /// [`crate::frame::SharedFrame`] broadcast encoded once for many
-    /// peers). Same poisoning discipline as [`TcpSender::send`].
-    pub fn send_frame(&self, frame: &[u8]) -> Result<()> {
-        use std::io::Write;
-        let mut inner = self.inner.lock();
-        if let Some(why) = &inner.poisoned {
-            return Err(BloxError::Transport(format!(
-                "tcp send on poisoned connection: {why}"
-            )));
-        }
-        if let Err(e) = inner.stream.write_all(frame) {
             let why = e.to_string();
             inner.poisoned = Some(why.clone());
             let _ = inner.stream.shutdown(Shutdown::Both);
@@ -332,14 +313,6 @@ mod tests {
         let (stream, _) = listener.accept().expect("accept");
         drop(t.join().unwrap());
         drop(stream);
-    }
-
-    #[test]
-    fn send_frame_matches_send_on_the_wire() {
-        let (a, b) = tcp_pair();
-        let frame = crate::frame::encode_shared(&Message::Ack).unwrap();
-        a.sender().send_frame(&frame).unwrap();
-        assert_eq!(b.recv().unwrap(), Message::Ack);
     }
 
     #[test]

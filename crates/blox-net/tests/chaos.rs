@@ -24,7 +24,6 @@ use blox_core::manager::{BloxManager, ExecMode, RunConfig, StopCondition};
 use blox_net::client::{submit, JobRequest};
 use blox_net::node::{spawn_node, NodeConfig};
 use blox_net::sched::{NetBackend, SchedulerConfig};
-use blox_net::TransportKind;
 use blox_policies::admission::AcceptAll;
 use blox_policies::placement::ConsolidatedPlacement;
 use blox_policies::scheduling::Fifo;
@@ -68,13 +67,9 @@ fn run_chaos_cluster(plan: FaultPlan) {
     let nodes: Vec<_> = (0..NODES)
         .map(|_| {
             spawn_node(NodeConfig {
-                sched: addr,
-                gpus: 4,
-                // A partitioned (and declared-dead) worker must come back.
-                reconnect: true,
                 faults: Some(plan.clone()),
-                transport: TransportKind::Threads,
-                poller: blox_net::PollerKind::Auto,
+                // A partitioned (and declared-dead) worker must come back.
+                ..NodeConfig::new(addr, 4, true)
             })
         })
         .collect();

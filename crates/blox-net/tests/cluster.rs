@@ -1,5 +1,5 @@
 //! Loopback cluster integration tests for the networked deployment on
-//! the thread-per-connection transport.
+//! its default configuration (the platform picks the readiness backend).
 //!
 //! These run the real three-component topology — central scheduler,
 //! node-manager daemons, submission client — over actual TCP sockets:
@@ -7,7 +7,7 @@
 //! heartbeat deadlines) and the compiled `bloxschedd` / `bloxnoded` /
 //! `blox-submit` binaries for the true multi-process end-to-end check.
 //! The scenario bodies live in `tests/scenarios/` and are shared with
-//! `tests/evloop.rs`, which replays them on the event-loop engine.
+//! `tests/evloop.rs`, which replays them with each backend pinned.
 //!
 //! Every listener binds `127.0.0.1:0`, so parallel `cargo test` runs never
 //! collide on ports; every test arms a hard watchdog, because a wedged
@@ -18,6 +18,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use blox_net::sched::NetBackend;
+use blox_net::PollerKind;
 
 mod common;
 mod scenarios;
@@ -28,7 +29,7 @@ use common::watchdog;
 /// in-process `RuntimeBackend` within tolerance.
 #[test]
 fn networked_jct_matches_in_process_runtime() {
-    scenarios::fidelity_scenario(scenarios::Engine::THREADS);
+    scenarios::fidelity_scenario(PollerKind::Auto);
 }
 
 /// Kill a node mid-run: the failure detector must trigger churn (node
@@ -36,7 +37,7 @@ fn networked_jct_matches_in_process_runtime() {
 /// run must still complete every job on the surviving nodes.
 #[test]
 fn node_crash_triggers_churn_and_jobs_still_finish() {
-    scenarios::churn_scenario(scenarios::Engine::THREADS);
+    scenarios::churn_scenario(PollerKind::Auto);
 }
 
 /// A worker that registers, heartbeats briefly, then falls silent with its
@@ -44,7 +45,7 @@ fn node_crash_triggers_churn_and_jobs_still_finish() {
 /// failure mode (the link never drops).
 #[test]
 fn silent_worker_trips_heartbeat_deadline() {
-    scenarios::heartbeat_scenario(scenarios::Engine::THREADS);
+    scenarios::heartbeat_scenario(PollerKind::Auto);
 }
 
 /// An open-loop gap in the arrival stream must not read as a drained
@@ -52,22 +53,23 @@ fn silent_worker_trips_heartbeat_deadline() {
 /// even when a job completes while the wait queue is empty.
 #[test]
 fn open_loop_submission_gap_does_not_end_run_early() {
-    scenarios::submission_gap_scenario(scenarios::Engine::THREADS);
+    scenarios::submission_gap_scenario(PollerKind::Auto);
 }
 
 /// Two schedulers binding `127.0.0.1:0` concurrently get distinct,
 /// resolved ports — the no-collision guarantee parallel tests rely on.
 #[test]
 fn ephemeral_ports_never_collide() {
-    let a = NetBackend::bind(scenarios::sched_config(scenarios::Engine::THREADS)).expect("bind a");
-    let b = NetBackend::bind(scenarios::sched_config(scenarios::Engine::THREADS)).expect("bind b");
+    let a = NetBackend::bind(scenarios::sched_config(PollerKind::Auto)).expect("bind a");
+    let b = NetBackend::bind(scenarios::sched_config(PollerKind::Auto)).expect("bind b");
     assert_ne!(a.addr().port(), 0);
     assert_ne!(b.addr().port(), 0);
     assert_ne!(a.addr(), b.addr());
 }
 
 /// True multi-process end-to-end: the compiled `bloxschedd`, two
-/// `bloxnoded` processes, and `blox-submit` cooperate over loopback TCP.
+/// `bloxnoded` processes, and `blox-submit` (one timed batch, one batch
+/// paced with `--rate`) cooperate over loopback TCP.
 #[test]
 fn daemon_binaries_run_a_real_multi_process_cluster() {
     let _wd = watchdog(Duration::from_secs(240), "multi-process test");
@@ -108,25 +110,28 @@ fn daemon_binaries_run_a_real_multi_process_cluster() {
         })
         .collect();
 
-    let submit = Command::new(env!("CARGO_BIN_EXE_blox-submit"))
-        .args([
-            "--sched", &addr, "--model", "resnet18", "--gpus", "1", "--iters", "2000", "--count",
-            "4",
-        ])
-        .output()
-        .expect("run blox-submit");
-    assert!(
-        submit.status.success(),
-        "blox-submit failed: {}",
-        String::from_utf8_lossy(&submit.stderr)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&submit.stdout)
-            .lines()
-            .filter(|l| l.starts_with("accepted "))
-            .count(),
-        4
-    );
+    for pacing in [&[][..], &["--rate", "50"][..]] {
+        let submit = Command::new(env!("CARGO_BIN_EXE_blox-submit"))
+            .args([
+                "--sched", &addr, "--model", "resnet18", "--gpus", "1", "--iters", "2000",
+                "--count", "2",
+            ])
+            .args(pacing)
+            .output()
+            .expect("run blox-submit");
+        assert!(
+            submit.status.success(),
+            "blox-submit {pacing:?} failed: {}",
+            String::from_utf8_lossy(&submit.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&submit.stdout)
+                .lines()
+                .filter(|l| l.starts_with("accepted "))
+                .count(),
+            2
+        );
+    }
 
     // The scheduler exits on its own once all 4 jobs complete.
     let deadline = Instant::now() + Duration::from_secs(120);

@@ -1,20 +1,20 @@
-//! Event-loop transport suite: the differential replay of every cluster
-//! scenario on the readiness engine, plus the properties only this
-//! engine has — bounded write backpressure and thousand-connection
-//! fan-in on a handful of threads.
+//! Event-loop differential suite: every cluster scenario, the bounded
+//! write backpressure and the thousand-connection fan-in, each written
+//! once and run on both readiness backends.
 //!
 //! The scenario bodies live in `tests/scenarios/` and are byte-for-byte
-//! the ones `tests/cluster.rs` runs on the thread-per-connection engine
-//! and `tests/epoll.rs` runs on the epoll backend: same trace, same
-//! policies, same assertions. This suite pins the portable poll(2)
-//! readiness backend, so it keeps covering that path on machines where
-//! `Auto` resolves to epoll.
+//! the ones `tests/cluster.rs` runs on the default backend: same trace,
+//! same policies, same assertions. Here each is instantiated with
+//! poll(2) pinned (`evloop_*`: the portable backend, and the reference
+//! on machines where `Auto` resolves to epoll) and with epoll(7) pinned
+//! (`epoll_*`, Linux only); a divergence between the two is a poller
+//! bug, not test drift.
 
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use blox_core::ids::JobId;
-use blox_net::event_loop::{Delivery, EvLoopConfig, EvLoopPool, LinkSender, LoopEvent};
+use blox_net::event_loop::{Delivery, EvLoopConfig, EvLoopPool, EvSender, LoopEvent};
 use blox_net::PollerKind;
 use blox_runtime::wire::Message;
 use crossbeam::channel::unbounded;
@@ -23,44 +23,59 @@ mod common;
 mod scenarios;
 use common::watchdog;
 
-/// Differential fidelity: the event-loop deployment must produce the
-/// same JCT stats as the in-process runtime (and therefore as the
-/// thread transport, which passes the identical assertion).
-#[test]
-fn evloop_jct_matches_in_process_runtime() {
-    scenarios::fidelity_scenario(scenarios::Engine::EVLOOP_POLL);
+/// Instantiate one `fn(PollerKind)` body as a poll(2) test and an
+/// epoll(7) test.
+macro_rules! on_both_pollers {
+    ($body:path => $poll:ident, $epoll:ident) => {
+        #[test]
+        fn $poll() {
+            $body(PollerKind::Poll);
+        }
+
+        #[cfg(target_os = "linux")]
+        #[test]
+        fn $epoll() {
+            $body(PollerKind::Epoll);
+        }
+    };
 }
 
-/// Differential churn: a mid-run node crash on the event loop must
-/// trigger the same detect → revoke → requeue → finish sequence.
-#[test]
-fn evloop_node_crash_triggers_churn_and_jobs_still_finish() {
-    scenarios::churn_scenario(scenarios::Engine::EVLOOP_POLL);
-}
+// Differential fidelity: the deployment must produce the same JCT stats
+// as the in-process runtime on either backend.
+on_both_pollers!(scenarios::fidelity_scenario =>
+    evloop_jct_matches_in_process_runtime,
+    epoll_jct_matches_in_process_runtime);
 
-/// Differential heartbeats: the timer-wheel beats must satisfy the same
-/// missed-deadline detector, and a silent worker must still be caught.
-#[test]
-fn evloop_silent_worker_trips_heartbeat_deadline() {
-    scenarios::heartbeat_scenario(scenarios::Engine::EVLOOP_POLL);
-}
+// Differential churn: a mid-run node crash must trigger the same
+// detect → revoke → requeue → finish sequence.
+on_both_pollers!(scenarios::churn_scenario =>
+    evloop_node_crash_triggers_churn_and_jobs_still_finish,
+    epoll_node_crash_triggers_churn_and_jobs_still_finish);
 
-/// Differential open-loop gap handling on the event-loop engine.
-#[test]
-fn evloop_submission_gap_does_not_end_run_early() {
-    scenarios::submission_gap_scenario(scenarios::Engine::EVLOOP_POLL);
-}
+// Differential heartbeats: the timer-wheel beats must satisfy the same
+// missed-deadline detector, and a silent worker must still be caught.
+on_both_pollers!(scenarios::heartbeat_scenario =>
+    evloop_silent_worker_trips_heartbeat_deadline,
+    epoll_silent_worker_trips_heartbeat_deadline);
+
+// Differential open-loop gap handling.
+on_both_pollers!(scenarios::submission_gap_scenario =>
+    evloop_submission_gap_does_not_end_run_early,
+    epoll_submission_gap_does_not_end_run_early);
+
+// The slow-client policy must hold on epoll exactly as on poll.
+on_both_pollers!(slow_reader_scenario =>
+    slow_reader_is_disconnected_at_the_queue_bound,
+    epoll_slow_reader_is_disconnected_at_the_queue_bound);
 
 /// A peer that stops reading must be disconnected once its outbound
 /// queue exceeds the configured bound — not buffer without limit.
-#[test]
-fn slow_reader_is_disconnected_at_the_queue_bound() {
+fn slow_reader_scenario(poller: PollerKind) {
     let _wd = watchdog(Duration::from_secs(60), "backpressure test");
     let max_out = 64 * 1024;
     let pool = EvLoopPool::new(EvLoopConfig {
-        shards: 1,
         max_out_bytes: max_out,
-        poller: PollerKind::Poll,
+        poller,
     })
     .expect("pool");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -119,16 +134,23 @@ fn slow_reader_is_disconnected_at_the_queue_bound() {
     }
 }
 
-/// Fan-in smoke: one event-loop pool carries ~2N sockets (N clients and
-/// their N server peers), every client submits, every client gets its
-/// acknowledgement. 1000 connections in release builds; 100 in debug
-/// builds, where the unoptimized frame path would dominate CI time.
+/// Fan-in smoke, on the default backend and on poll(2): one event-loop
+/// pool carries ~2N sockets (N clients and their N server peers), every
+/// client submits, every client gets its acknowledgement. 1000
+/// connections in release builds; 100 in debug builds, where the
+/// unoptimized frame path would dominate CI time.
 #[test]
 fn thousand_connections_on_one_pool() {
-    let _wd = watchdog(Duration::from_secs(120), "1k-connection smoke");
+    let _wd = watchdog(Duration::from_secs(240), "1k-connection smoke");
+    for poller in [PollerKind::Auto, PollerKind::Poll] {
+        thousand_connections(poller);
+    }
+}
+
+fn thousand_connections(poller: PollerKind) {
     let n: usize = if cfg!(debug_assertions) { 100 } else { 1000 };
     let pool = EvLoopPool::new(EvLoopConfig {
-        poller: PollerKind::Poll,
+        poller,
         ..EvLoopConfig::default()
     })
     .expect("pool");
@@ -192,7 +214,7 @@ fn thousand_connections_on_one_pool() {
                         server_links.insert(token, link);
                     }
                     Ok(LoopEvent::Msg(token, Message::SubmitJob { .. }, _)) => {
-                        let link: &LinkSender =
+                        let link: &EvSender =
                             server_links.get(&token).expect("Connected precedes Msg");
                         link.send(&Message::JobAccepted {
                             job: JobId(acked as u64),
@@ -218,98 +240,7 @@ fn thousand_connections_on_one_pool() {
             accepted_acks
         })
     };
-    assert_eq!(acked_total, n);
-}
-
-/// The compiled daemons speak the event loop end-to-end: `bloxschedd
-/// --transport evloop` with `bloxnoded --transport evloop` workers and a
-/// paced `blox-submit --rate` client.
-#[test]
-fn daemon_binaries_run_on_the_event_loop() {
-    use std::io::{BufRead, BufReader, Read};
-    use std::process::{Command, Stdio};
-
-    let _wd = watchdog(Duration::from_secs(240), "evloop multi-process test");
-    let mut schedd = Command::new(env!("CARGO_BIN_EXE_bloxschedd"))
-        .args([
-            "--nodes",
-            "2",
-            "--jobs",
-            "4",
-            "--policy",
-            "tiresias",
-            "--time-scale",
-            "1e-4",
-            "--transport",
-            "evloop",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn bloxschedd");
-
-    let mut stdout = BufReader::new(schedd.stdout.take().expect("schedd stdout"));
-    let mut listen = String::new();
-    stdout.read_line(&mut listen).expect("LISTEN line");
-    let addr = listen
-        .trim()
-        .strip_prefix("LISTEN ")
-        .unwrap_or_else(|| panic!("expected `LISTEN <addr>`, got {listen:?}"))
-        .to_string();
-
-    let mut noded: Vec<_> = (0..2)
-        .map(|_| {
-            Command::new(env!("CARGO_BIN_EXE_bloxnoded"))
-                .args(["--sched", &addr, "--gpus", "4", "--transport", "evloop"])
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()
-                .expect("spawn bloxnoded")
-        })
-        .collect();
-
-    let submit = Command::new(env!("CARGO_BIN_EXE_blox-submit"))
-        .args([
-            "--sched", &addr, "--model", "resnet18", "--gpus", "1", "--iters", "2000", "--count",
-            "4", "--rate", "50",
-        ])
-        .output()
-        .expect("run blox-submit");
-    assert!(
-        submit.status.success(),
-        "blox-submit failed: {}",
-        String::from_utf8_lossy(&submit.stderr)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&submit.stdout)
-            .lines()
-            .filter(|l| l.starts_with("accepted "))
-            .count(),
-        4
-    );
-
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let status = loop {
-        if let Some(status) = schedd.try_wait().expect("try_wait schedd") {
-            break status;
-        }
-        assert!(Instant::now() < deadline, "bloxschedd did not terminate");
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    let mut rest = String::new();
-    stdout.read_to_string(&mut rest).expect("schedd output");
-    for child in &mut noded {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    assert!(
-        status.success(),
-        "bloxschedd exited with {status:?}: {rest}"
-    );
-    assert!(
-        rest.contains("summary: jobs=4") && rest.contains("transport=evloop"),
-        "expected a 4-job evloop summary, got: {rest}"
-    );
+    assert_eq!(acked_total, n, "poller {poller}");
 }
 
 /// Minimal local-addr helper: `TcpListener::local_addr` with the test's

@@ -11,7 +11,6 @@ use blox_core::manager::{ExecMode, RunConfig, StopCondition};
 use blox_net::frame::{read_frame, FrameBuf};
 use blox_net::sched::{serve, NetBackend, SchedulerConfig};
 use blox_net::tcp::TcpTransport;
-use blox_net::TransportKind;
 use blox_policies::admission::AcceptAll;
 use blox_policies::placement::ConsolidatedPlacement;
 use blox_policies::scheduling::Fifo;
@@ -104,7 +103,6 @@ fn dead_link_yields_a_failure_verdict() {
         // can produce the verdict this test asserts.
         heartbeat_sim_s: 1e9,
         heartbeat_misses: 1000,
-        transport: TransportKind::Threads,
         ..SchedulerConfig::default()
     })
     .expect("bind ephemeral");

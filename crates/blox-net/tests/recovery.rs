@@ -23,7 +23,6 @@ use blox_net::node::{spawn_node, NodeConfig};
 use blox_net::sched::{
     read_checkpoint, serve_with, write_checkpoint, NetBackend, RecoveryOptions, SchedulerConfig,
 };
-use blox_net::TransportKind;
 use blox_policies::admission::AcceptAll;
 use blox_policies::placement::ConsolidatedPlacement;
 use blox_policies::scheduling::Fifo;
@@ -226,16 +225,7 @@ fn restored_scheduler_readopts_workers_instead_of_growing_the_cluster() {
     .expect("bind ephemeral");
     let addr = backend.addr();
     let daemons: Vec<_> = (0..2)
-        .map(|_| {
-            spawn_node(NodeConfig {
-                sched: addr,
-                gpus: 4,
-                reconnect: false,
-                faults: None,
-                transport: TransportKind::Threads,
-                poller: blox_net::PollerKind::Auto,
-            })
-        })
+        .map(|_| spawn_node(NodeConfig::new(addr, 4, false)))
         .collect();
 
     let report = serve_with(

@@ -514,7 +514,9 @@ impl RuntimeBackend {
     }
 
     /// Wait (bounded) for a specific job's suspension ack, applying other
-    /// messages as they arrive. Returns the checkpointed iterations.
+    /// messages as they arrive. Returns the checkpointed iterations, or
+    /// `None` as soon as the job is no longer `Running` — its `JobDone`
+    /// crossed the `Revoke`, so no ack is coming.
     fn wait_for_suspension(
         &mut self,
         job: JobId,
@@ -541,7 +543,12 @@ impl RuntimeBackend {
                         }
                     }
                 }
-                Ok(Some(other)) => apply_status_message(other, cluster, jobs),
+                Ok(Some(other)) => {
+                    apply_status_message(other, cluster, jobs);
+                    if jobs.get(job).is_none_or(|j| j.status != JobStatus::Running) {
+                        return None;
+                    }
+                }
                 Ok(None) => {}
                 Err(_) => return None,
             }
@@ -804,6 +811,71 @@ mod tests {
         );
         let stats = mgr.run(&mut PassAll, &mut FifoSched, &mut FirstFree);
         assert_eq!(stats.records.len(), 2);
+    }
+
+    /// `Revoke` × `JobDone`: the job finished on the worker just before
+    /// the scheduler revoked its lease, so its `JobDone` is already on
+    /// the bus when `exec_jobs` sends the `Revoke` and no `JobSuspended`
+    /// will ever come. The wait must end when the `JobDone` is applied,
+    /// not sit out its 5 s bound. The worker side is scripted: the
+    /// cluster has no worker threads, only the test's end of the bus.
+    #[test]
+    fn revoke_crossing_job_done_does_not_wait_for_a_suspension_ack() {
+        let mut cstate = cluster(1);
+        let mut job = Job::new(JobId(0), 0.0, 1, 600.0, quick_profile());
+        job.status = JobStatus::Running;
+        job.placement = vec![cstate.free_gpus()[0]];
+        cstate
+            .allocate(job.id, &job.placement, job.profile.gpu_mem_gb)
+            .expect("first GPU is free");
+        let mut jobs = JobState::new();
+        jobs.add_new_jobs(vec![job]);
+
+        let (bus_tx, bus_rx) = wire_bus();
+        let cfg = RuntimeConfig::default();
+        let emu = EmulatedCluster {
+            workers: BTreeMap::new(),
+            bus_rx,
+            clock: Arc::new(SimClock::new(cfg.time_scale)),
+            cfg,
+        };
+        let mut backend = RuntimeBackend::new(emu, vec![]);
+        bus_tx
+            .send(&Message::JobDone {
+                job: JobId(0),
+                sim_time: 42.0,
+            })
+            .expect("bus is open");
+
+        let suspend = Placement {
+            to_launch: vec![],
+            to_suspend: vec![JobId(0)],
+        };
+        let t0 = Instant::now();
+        let outcome = backend.exec_jobs(&suspend, &mut cstate, &mut jobs);
+        let waited = t0.elapsed();
+
+        assert!(
+            waited < Duration::from_millis(100),
+            "waited {waited:?} for an ack that cannot come"
+        );
+        assert!(outcome.is_clean(), "skipped: {:?}", outcome.skipped);
+        assert!(
+            outcome.suspended.is_empty(),
+            "a finished job is not suspended"
+        );
+        let job = jobs
+            .get(JobId(0))
+            .expect("completed jobs stay until pruned");
+        assert_eq!(job.status, JobStatus::Completed);
+        assert_eq!(job.completion_time, Some(42.0));
+        assert_eq!(job.preemptions, 0);
+        assert_eq!(
+            jobs.prune_completed(),
+            vec![JobId(0)],
+            "completed exactly once"
+        );
+        assert_eq!(cstate.free_gpu_count(), 4);
     }
 
     #[test]

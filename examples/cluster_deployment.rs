@@ -80,16 +80,7 @@ fn main() {
     let addr = backend.addr();
     println!("blox-net scheduler listening on {addr}");
     let daemons: Vec<_> = (0..4)
-        .map(|_| {
-            spawn_node(NodeConfig {
-                sched: addr,
-                gpus: 4,
-                reconnect: false,
-                faults: None,
-                transport: blox::net::TransportKind::Threads,
-                poller: blox::net::PollerKind::Auto,
-            })
-        })
+        .map(|_| spawn_node(NodeConfig::new(addr, 4, false)))
         .collect();
     let timeline: Vec<(f64, JobRequest)> = trace(n_jobs)
         .jobs
