@@ -80,7 +80,10 @@ pub trait Backend: Send {
         jobs: &mut JobState,
     ) -> PlacementOutcome;
 
-    /// Advance to the next round boundary (simulated clock jump or sleep).
+    /// Advance to the next round boundary. Simulated backends jump the
+    /// clock; real-time backends wait out the round's wall time, and may
+    /// serve intake during the wait (the networked backend accepts and
+    /// acknowledges submissions as they arrive).
     fn advance_round(&mut self, round_duration: f64);
 
     /// The earliest future time at which backend-driven state can change,
@@ -483,7 +486,8 @@ impl<B: Backend> BloxManager<B> {
         // --- Stage 5: Actuate ------------------------------------------
         // Preempt then launch via the backend mechanism, then account the
         // round. (The inter-round wait in `advance_round` is not part of
-        // the measured pipeline: real-time backends sleep there.)
+        // the measured pipeline: real-time backends wait there, serving
+        // intake as it arrives.)
         let stage = Instant::now();
         let exec = self
             .backend

@@ -116,8 +116,9 @@ pub enum LoopEvent {
     /// A new connection, with its send half.
     Connected(Token, EvSender),
     /// A decoded message plus its wall-clock arrival stamp (taken where
-    /// the frame was decoded, so heartbeat freshness is measured from
-    /// when the beat landed, not from when the consumer drained it).
+    /// the frame was decoded, so heartbeat freshness and a submitted
+    /// job's arrival time are measured from when the frame landed, not
+    /// from when the consumer drained it).
     Msg(Token, Message, Instant),
     /// The connection is gone (peer close, error, or slow-client policy).
     Closed(Token),

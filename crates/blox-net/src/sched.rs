@@ -17,6 +17,15 @@
 //!   protocols closing the loop over a real failure detector;
 //! * [`Message::SubmitJob`] from clients lands in the live wait queue,
 //!   enabling open-loop online traffic instead of pre-loaded traces.
+//!
+//! Intake does not wait for the round clock. Between rounds,
+//! `advance_round` blocks on the event channel until the round's
+//! wall-clock deadline: a submission is queued and acknowledged the
+//! moment it is read, with its arrival stamped at the instant the loop
+//! decoded it, so a job read before a round boundary is admitted by that
+//! round. Every event that needs the [`ClusterState`] (registrations,
+//! heartbeats, job status, closes) is deferred in arrival order and
+//! applied by the next `poll`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -40,7 +49,7 @@ use blox_core::state::JobState;
 use blox_runtime::runtime::{apply_status_message, placement_iter_time, RuntimeConfig, SimClock};
 use blox_runtime::wire::Message;
 use blox_workloads::ModelZoo;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::event_loop::{
     Delivery, EvLoopConfig, EvLoopPool, EvSender, LoopEvent, Token, TransportKind,
@@ -169,6 +178,10 @@ fn accept_loop(
 pub struct NetBackend {
     addr: SocketAddr,
     events: Receiver<LoopEvent>,
+    /// Events read during the inter-round wait that need a
+    /// `ClusterState`, in arrival order. Applied before the channel is
+    /// read again, so event order is the channel's order.
+    deferred: VecDeque<LoopEvent>,
     stop: Arc<AtomicBool>,
     /// Keeps the event loop alive. `Drop for NetBackend` broadcasts
     /// Shutdown frames before this Arc falls; the loop's command queue is
@@ -237,6 +250,7 @@ impl NetBackend {
         Ok(NetBackend {
             addr,
             events,
+            deferred: VecDeque::new(),
             stop,
             _pool: pool,
             conns: BTreeMap::new(),
@@ -383,25 +397,59 @@ impl NetBackend {
     }
 
     /// Drain and apply every queued connection event (registrations,
-    /// heartbeats, submissions, disconnects). Job-status traffic is
-    /// buffered until the next `update_metrics`, which has the `JobState`.
+    /// heartbeats, submissions, disconnects): first those deferred by the
+    /// inter-round wait, then the channel. Job-status traffic is buffered
+    /// until the next `update_metrics`, which has the `JobState`.
     pub fn poll(&mut self, cluster: &mut ClusterState) {
-        while let Ok(ev) = self.events.try_recv() {
+        while let Some(ev) = self
+            .deferred
+            .pop_front()
+            .or_else(|| self.events.try_recv().ok())
+        {
             self.process_event(ev, cluster);
+        }
+    }
+
+    fn connect(&mut self, id: Token, sender: EvSender) {
+        self.conns.insert(
+            id,
+            Conn {
+                sender,
+                role: Role::Pending,
+            },
+        );
+    }
+
+    /// Accept one submission: allocate its id, queue it with its arrival
+    /// stamped at `at` (the instant the loop decoded the frame) and
+    /// acknowledge it. The only intake path, shared by `poll` and the
+    /// inter-round wait.
+    fn accept(&mut self, id: Token, gpus: u32, total_iters: f64, model: &str, at: Instant) {
+        let job_id = JobId(self.next_job);
+        self.next_job += 1;
+        let profile = self
+            .zoo
+            .by_name(model)
+            .cloned()
+            .unwrap_or_else(|| JobProfile::synthetic(model, 1.0));
+        self.queue.push_back(Job::new(
+            job_id,
+            self.clock.sim_at(at),
+            gpus.max(1),
+            total_iters,
+            profile,
+        ));
+        if let Some(conn) = self.conns.get_mut(&id) {
+            if conn.role == Role::Pending {
+                conn.role = Role::Client;
+            }
+            let _ = conn.sender.send(&Message::JobAccepted { job: job_id });
         }
     }
 
     fn process_event(&mut self, ev: LoopEvent, cluster: &mut ClusterState) {
         match ev {
-            LoopEvent::Connected(id, sender) => {
-                self.conns.insert(
-                    id,
-                    Conn {
-                        sender,
-                        role: Role::Pending,
-                    },
-                );
-            }
+            LoopEvent::Connected(id, sender) => self.connect(id, sender),
             LoopEvent::Msg(id, msg, at) => self.process_message(id, msg, at, cluster),
             LoopEvent::Closed(id) => {
                 if let Some(conn) = self.conns.remove(&id) {
@@ -440,39 +488,31 @@ impl NetBackend {
                     });
                 }
             }
+            // Only a node's own link can keep it alive: a beat naming
+            // the node from any other connection would hide its failure.
             Message::Heartbeat { node, .. } => {
-                if self.last_hb.contains_key(&node) {
-                    self.last_hb.insert(node, at);
+                if self.role(id) == Some(Role::Worker(node)) {
+                    if let Some(last) = self.last_hb.get_mut(&node) {
+                        *last = at;
+                    }
                 }
             }
             Message::SubmitJob {
                 gpus,
                 total_iters,
                 model,
-            } => {
-                let job_id = JobId(self.next_job);
-                self.next_job += 1;
-                let profile = self
-                    .zoo
-                    .by_name(&model)
-                    .cloned()
-                    .unwrap_or_else(|| JobProfile::synthetic(&model, 1.0));
-                self.queue.push_back(Job::new(
-                    job_id,
-                    self.clock.sim_now(),
-                    gpus.max(1),
-                    total_iters,
-                    profile,
-                ));
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    if conn.role == Role::Pending {
-                        conn.role = Role::Client;
-                    }
-                    let _ = conn.sender.send(&Message::JobAccepted { job: job_id });
+            } => self.accept(id, gpus, total_iters, &model, at),
+            // Job status counts only from a registered worker's link.
+            status => {
+                if matches!(self.role(id), Some(Role::Worker(_))) {
+                    self.pending_status.push_back(status);
                 }
             }
-            status => self.pending_status.push_back(status),
         }
+    }
+
+    fn role(&self, id: Token) -> Option<Role> {
+        self.conns.get(&id).map(|conn| conn.role)
     }
 
     /// Mark a node dead and hide its GPUs; the running jobs it hosted are
@@ -695,11 +735,15 @@ impl NetBackend {
             if !running || !rank0_alive {
                 return;
             }
-            match self.events.recv_timeout(Duration::from_millis(20)) {
-                Ok(ev) => self.process_event(ev, cluster),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(_) => return,
-            }
+            let ev = match self.deferred.pop_front() {
+                Some(ev) => ev,
+                None => match self.events.recv_timeout(Duration::from_millis(20)) {
+                    Ok(ev) => ev,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return,
+                },
+            };
+            self.process_event(ev, cluster);
         }
     }
 }
@@ -864,9 +908,37 @@ impl Backend for NetBackend {
         outcome
     }
 
+    /// Wait for the round's wall-clock deadline while serving intake:
+    /// submissions are accepted and new connections recorded as they
+    /// arrive; every other event needs the `ClusterState` and is deferred
+    /// to the next `poll`.
     fn advance_round(&mut self, round_duration: f64) {
         self.round_now += round_duration;
-        self.clock.sleep_until(self.round_now);
+        let deadline = self.clock.instant_at(self.round_now);
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            match self.events.recv_timeout(left) {
+                Ok(LoopEvent::Msg(
+                    id,
+                    Message::SubmitJob {
+                        gpus,
+                        total_iters,
+                        model,
+                    },
+                    at,
+                )) => self.accept(id, gpus, total_iters, &model, at),
+                Ok(LoopEvent::Connected(id, sender)) => self.connect(id, sender),
+                Ok(ev) => self.deferred.push_back(ev),
+                Err(RecvTimeoutError::Timeout) => return,
+                Err(RecvTimeoutError::Disconnected) => {
+                    std::thread::sleep(left);
+                    return;
+                }
+            }
+        }
     }
 }
 
@@ -1045,7 +1117,255 @@ pub fn serve_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::TcpTransport;
     use blox_core::profile::JobProfile;
+    use blox_runtime::wire::Transport;
+
+    /// A backend whose 200-simulated-second round lasts 200 ms of wall
+    /// time, so a peer can act while `advance_round` waits.
+    fn slow_round_backend() -> NetBackend {
+        NetBackend::bind(SchedulerConfig {
+            runtime: RuntimeConfig {
+                time_scale: 1e-3,
+                emu_iter_sim_s: 30.0,
+            },
+            ..SchedulerConfig::default()
+        })
+        .expect("bind ephemeral")
+    }
+
+    /// A submission read during the inter-round wait is acknowledged at
+    /// once, and its arrival is stamped at decode, so the next round
+    /// admits it.
+    #[test]
+    fn submission_during_the_round_wait_is_acked_and_admitted_next_round() {
+        let mut backend = slow_round_backend();
+        let addr = backend.addr();
+        let mut cluster = ClusterState::new();
+        backend.begin_rounds();
+        // Until `poll`, the wait is the channel's only reader, so the
+        // submission is read there whether it lands before or during it.
+        let client = std::thread::spawn(move || {
+            let link = TcpTransport::connect(addr).expect("connect");
+            let sent = Instant::now();
+            link.send(&Message::SubmitJob {
+                gpus: 1,
+                total_iters: 100.0,
+                model: "emu".into(),
+            })
+            .expect("submit");
+            let reply = link
+                .recv_timeout(Duration::from_secs(5))
+                .expect("link")
+                .expect("an ack within 5 s");
+            (reply, sent.elapsed())
+        });
+
+        backend.advance_round(200.0);
+        // Anything still in the channel is applied (and acked) here.
+        backend.poll(&mut cluster);
+        let (reply, waited) = client.join().expect("client");
+
+        assert!(
+            matches!(reply, Message::JobAccepted { job: JobId(0) }),
+            "{reply:?}"
+        );
+        assert!(
+            waited < Duration::from_millis(20),
+            "ack took {waited:?}: it waited for the round"
+        );
+        let admitted: Vec<JobId> = backend
+            .pop_wait_queue(backend.now())
+            .iter()
+            .map(|j| j.id)
+            .collect();
+        assert_eq!(admitted, vec![JobId(0)], "admitted by the next round");
+    }
+
+    /// A round that overruns its slot leaves no wait: a submission decoded
+    /// before the boundary is read only by the next `poll`, past the
+    /// boundary. Its arrival is the decode instant, so that round still
+    /// admits it.
+    #[test]
+    fn submission_decoded_before_an_overrun_boundary_is_admitted_by_that_round() {
+        let mut backend = slow_round_backend();
+        let addr = backend.addr();
+        let mut cluster = ClusterState::new();
+        let start = backend.begin_rounds();
+        let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let link = TcpTransport::connect(addr).expect("connect");
+            link.send(&Message::SubmitJob {
+                gpus: 1,
+                total_iters: 100.0,
+                model: "emu".into(),
+            })
+            .expect("submit");
+            sent_tx.send(()).expect("signal the send");
+            link.recv_timeout(Duration::from_secs(5)).expect("link")
+        });
+
+        // The round's work runs past its 200 ms slot, after the send.
+        sent_rx.recv().expect("the client sent");
+        backend.clock.sleep_until(start + 250.0);
+        backend.advance_round(200.0);
+        backend.poll(&mut cluster);
+        let reply = client.join().expect("client");
+
+        assert!(
+            matches!(reply, Some(Message::JobAccepted { job: JobId(0) })),
+            "{reply:?}"
+        );
+        let admitted: Vec<JobId> = backend
+            .pop_wait_queue(backend.now())
+            .iter()
+            .map(|j| j.id)
+            .collect();
+        assert_eq!(admitted, vec![JobId(0)], "held back a round");
+    }
+
+    /// Events that need the cluster state are deferred by the wait and
+    /// applied by the next `poll` in arrival order: the registration
+    /// first, then the drop that kills the new node.
+    #[test]
+    fn registration_and_drop_during_the_round_wait_apply_in_order() {
+        let mut backend = slow_round_backend();
+        let addr = backend.addr();
+        let mut cluster = ClusterState::new();
+        backend.begin_rounds();
+        let worker = std::thread::spawn(move || {
+            let link = TcpTransport::connect(addr).expect("connect");
+            link.send(&Message::RegisterWorker {
+                node: NodeId(0),
+                gpus: 4,
+            })
+            .expect("register");
+            // Dropping the link closes the connection.
+        });
+
+        backend.advance_round(200.0);
+        worker.join().expect("worker");
+        assert_eq!(backend.nodes_joined(), 0, "nothing applied during the wait");
+        assert_eq!(backend.deferred.len(), 2, "RegisterWorker, then Closed");
+
+        backend.poll(&mut cluster);
+        assert_eq!(backend.nodes_joined(), 1);
+        assert_eq!(backend.failures_detected(), 1);
+        let alive: Vec<bool> = cluster.all_nodes().map(|n| n.alive).collect();
+        assert_eq!(alive, vec![false], "the registered node is dead");
+    }
+
+    /// A heartbeat naming a node counts only on that node's own link: a
+    /// client beating for a silent worker cannot hide its failure.
+    #[test]
+    fn heartbeat_from_another_connection_does_not_keep_a_silent_node_alive() {
+        let mut backend = NetBackend::bind(SchedulerConfig {
+            runtime: RuntimeConfig {
+                time_scale: 1e-4,
+                emu_iter_sim_s: 30.0,
+            },
+            ..SchedulerConfig::default()
+        })
+        .expect("bind ephemeral");
+        let deadline = backend.heartbeat_deadline();
+        let addr = backend.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (node_tx, node_rx) = std::sync::mpsc::channel();
+
+        let stop_w = stop.clone();
+        let worker = std::thread::spawn(move || {
+            let link = TcpTransport::connect(addr).expect("connect");
+            link.send(&Message::RegisterWorker {
+                node: NodeId(0),
+                gpus: 4,
+            })
+            .expect("register");
+            let assign = link.recv_timeout(Duration::from_secs(5)).expect("link");
+            let Some(Message::AssignNode { node, .. }) = assign else {
+                panic!("expected AssignNode, got {assign:?}");
+            };
+            node_tx.send(node).expect("hand the node id over");
+            // Silent from here on, with the socket open.
+            while !stop_w.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let stop_f = stop.clone();
+        let forger = std::thread::spawn(move || {
+            let link = TcpTransport::connect(addr).expect("connect");
+            let node = node_rx.recv().expect("assigned node");
+            let mut seq = 0;
+            while !stop_f.load(Ordering::Relaxed)
+                && link.send(&Message::Heartbeat { node, seq }).is_ok()
+            {
+                seq += 1;
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+
+        let mut cluster = ClusterState::new();
+        backend.begin_rounds();
+        let start = Instant::now();
+        let mut registered = None;
+        while backend.failures_detected() == 0 && start.elapsed() < Duration::from_secs(3) {
+            backend.update_cluster(&mut cluster);
+            if registered.is_none() && backend.nodes_joined() == 1 {
+                registered = Some(Instant::now());
+            }
+            backend.advance_round(100.0);
+        }
+        stop.store(true, Ordering::Relaxed);
+        forger.join().expect("forger");
+        worker.join().expect("worker");
+
+        assert_eq!(
+            backend.failures_detected(),
+            1,
+            "forged beats kept the node alive"
+        );
+        let detected_after = registered.expect("the worker registered").elapsed();
+        assert!(
+            detected_after < 2 * deadline,
+            "declared dead {detected_after:?} after registering (deadline {deadline:?})"
+        );
+    }
+
+    /// Job status from a connection that never registered as a worker is
+    /// dropped: a forged `JobDone` cannot complete a running job.
+    #[test]
+    fn job_status_from_a_non_worker_connection_is_ignored() {
+        let (mut backend, mut cluster, mut jobs) = backend_with_running_job();
+        let client = TcpTransport::connect(backend.addr()).expect("connect");
+        client
+            .send(&Message::JobDone {
+                job: JobId(0),
+                sim_time: 1.0,
+            })
+            .expect("forged JobDone");
+        // The submission is read after the forged status on the same link.
+        client
+            .send(&Message::SubmitJob {
+                gpus: 1,
+                total_iters: 100.0,
+                model: "emu".into(),
+            })
+            .expect("submit");
+        let start = Instant::now();
+        while backend.next_job == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "submission never read"
+            );
+            backend.poll(&mut cluster);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        backend.update_metrics(&mut cluster, &mut jobs, 0.0);
+        let job = jobs.get(JobId(0)).expect("still active");
+        assert_eq!(job.status, JobStatus::Running);
+        assert_eq!(job.completion_time, None);
+        assert_eq!(cluster.job_gpu_count(JobId(0)), 1);
+    }
 
     fn flat_running_job(id: u64) -> Job {
         let mut j = Job::new(JobId(id), 0.0, 1, 1e6, JobProfile::synthetic("t", 1.0));

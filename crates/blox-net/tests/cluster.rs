@@ -4,8 +4,9 @@
 //! These run the real three-component topology — central scheduler,
 //! node-manager daemons, submission client — over actual TCP sockets:
 //! in-process threads for the white-box assertions (fidelity, churn,
-//! heartbeat deadlines) and the compiled `bloxschedd` / `bloxnoded` /
-//! `blox-submit` binaries for the true multi-process end-to-end check.
+//! preemption, heartbeat deadlines) and the compiled `bloxschedd` /
+//! `bloxnoded` / `blox-submit` binaries for the true multi-process
+//! end-to-end check.
 //! The scenario bodies live in `tests/scenarios/` and are shared with
 //! `tests/evloop.rs`, which replays them with each backend pinned.
 //!
@@ -38,6 +39,14 @@ fn networked_jct_matches_in_process_runtime() {
 #[test]
 fn node_crash_triggers_churn_and_jobs_still_finish() {
     scenarios::churn_scenario(PollerKind::Auto);
+}
+
+/// FIFO backfill on a 16-GPU cluster that fills up: the backfilled jobs
+/// are preempted through lease revocation, then every job completes
+/// exactly once.
+#[test]
+fn fifo_backfill_preempts_on_a_full_cluster_and_every_job_completes_once() {
+    scenarios::preemption_scenario(PollerKind::Auto);
 }
 
 /// A worker that registers, heartbeats briefly, then falls silent with its

@@ -1,12 +1,13 @@
 //! Poller-parameterized cluster scenarios.
 //!
 //! Every white-box integration scenario — JCT fidelity, mid-run crash
-//! churn, heartbeat deadlines, open-loop submission gaps — is written
-//! once here against a [`PollerKind`] parameter, then instantiated by
-//! `tests/cluster.rs` on the default (`Auto`) and by `tests/evloop.rs`
-//! with epoll(7) and poll(2) pinned. That makes the differential claim
-//! structural: every readiness backend runs byte-for-byte the same
-//! scenario code, so a divergence is a poller bug, not a test drift.
+//! churn, FIFO-backfill preemption, heartbeat deadlines, open-loop
+//! submission gaps — is written once here against a [`PollerKind`]
+//! parameter, then instantiated by `tests/cluster.rs` on the default
+//! (`Auto`) and by `tests/evloop.rs` with epoll(7) and poll(2) pinned.
+//! That makes the differential claim structural: every readiness backend
+//! runs byte-for-byte the same scenario code, so a divergence is a poller
+//! bug, not a test drift.
 
 #![allow(dead_code)] // each test binary instantiates a subset
 
@@ -234,6 +235,69 @@ pub fn churn_scenario(poller: PollerKind) {
     assert!(
         preemptions >= 1,
         "evicted jobs must be requeued through lease revocation"
+    );
+}
+
+/// FIFO backfill on a 16-GPU cluster that fills up. A 12-GPU job runs, a
+/// 16-GPU job queues behind it, and four long 1-GPU jobs backfill the
+/// idle GPUs. When the 12-GPU job finishes, FIFO grants the 16-GPU job the
+/// whole cluster, so the backfilled jobs are preempted through lease
+/// revocation (`wait_for_suspension`); they resume once it is done. Every
+/// job must complete exactly once, with no node or job lost on the way.
+pub fn preemption_scenario(poller: PollerKind) {
+    let _wd = watchdog(Duration::from_secs(240), "preemption scenario");
+    let backend = NetBackend::bind(sched_config(poller)).expect("bind ephemeral");
+    let addr = backend.addr();
+    let daemons: Vec<_> = (0..4)
+        .map(|_| spawn_node(node_config(poller, addr)))
+        .collect();
+
+    // Simulated work at ~1 s/iteration on one GPU: the 12-GPU job takes
+    // ~4.5k simulated seconds, each backfilled job ~20k, so the backfill
+    // is still running when the 16-GPU job's turn comes.
+    let job = |gpus, total_iters| JobRequest {
+        gpus,
+        total_iters,
+        model: "emu-preempt".into(),
+    };
+    let mut reqs = vec![job(12, 20_000.0), job(16, 10_000.0)];
+    reqs.extend((0..4).map(|_| job(1, 20_000.0)));
+    let n = reqs.len() as u64;
+    let submitter = std::thread::spawn(move || submit(addr, &reqs));
+
+    let report = serve(
+        backend,
+        RunConfig {
+            round_duration: 300.0,
+            max_rounds: 100_000,
+            stop: StopCondition::TrackedWindowDone { lo: 0, hi: n - 1 },
+            mode: ExecMode::FixedRounds,
+        },
+        4,
+        Duration::from_secs(30),
+        &mut AcceptAll::new(),
+        &mut Fifo::new(),
+        &mut ConsolidatedPlacement::preferred(),
+    )
+    .expect("preemption run");
+    let mut submitted = submitter.join().expect("submitter").expect("submissions");
+    for d in daemons {
+        let _ = d.join();
+    }
+
+    assert_eq!(report.nodes_joined, 4);
+    assert_eq!(report.failures_detected, 0, "no node may be lost");
+    assert_eq!(report.stalls_detected, 0, "no job may be presumed lost");
+    assert!(report.dead_nodes.is_empty());
+    let mut completed: Vec<_> = report.stats.records.iter().map(|r| r.id).collect();
+    completed.sort();
+    submitted.sort();
+    assert_eq!(completed, submitted, "every job completes exactly once");
+    assert!(report.stats.records.iter().all(|r| !r.terminated_early));
+    let preemptions: u32 = report.stats.records.iter().map(|r| r.preemptions).sum();
+    assert!(
+        preemptions > 0,
+        "the 16-GPU job must preempt the backfilled jobs"
     );
 }
 

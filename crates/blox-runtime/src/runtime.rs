@@ -80,15 +80,28 @@ impl SimClock {
 
     /// Current simulated time.
     pub fn sim_now(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() / self.scale
+        self.sim_at(Instant::now())
+    }
+
+    /// Simulated time at the wall-clock instant `at` (clamped at zero for
+    /// instants before the clock's origin).
+    pub fn sim_at(&self, at: Instant) -> f64 {
+        at.saturating_duration_since(self.start).as_secs_f64() / self.scale
+    }
+
+    /// The wall-clock instant at which the clock reads `sim_t`: the
+    /// inverse of [`SimClock::sim_at`].
+    pub fn instant_at(&self, sim_t: f64) -> Instant {
+        self.start + Duration::from_secs_f64((sim_t * self.scale).max(0.0))
     }
 
     /// Sleep until the simulated clock reaches `sim_t` (no-op if past).
     pub fn sleep_until(&self, sim_t: f64) {
-        let target = self.start + Duration::from_secs_f64(sim_t * self.scale);
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
+        let left = self
+            .instant_at(sim_t)
+            .saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            std::thread::sleep(left);
         }
     }
 }
@@ -756,6 +769,22 @@ mod tests {
         let mut c = ClusterState::new();
         c.add_nodes(&NodeSpec::v100_p3_8xlarge(), nodes);
         c
+    }
+
+    /// `instant_at` and `sim_at` are inverses, and instants before the
+    /// clock's origin read as time zero.
+    #[test]
+    fn sim_clock_maps_instants_both_ways() {
+        let clock = SimClock::synced(1000.0, 1e-3);
+        for sim in [1000.0, 1234.5, 5000.0] {
+            let back = clock.sim_at(clock.instant_at(sim));
+            assert!((back - sim).abs() < 1e-3, "{sim} -> {back}");
+        }
+        let origin = clock.instant_at(0.0);
+        assert_eq!(clock.sim_at(origin), 0.0);
+        if let Some(before) = origin.checked_sub(Duration::from_secs(1)) {
+            assert_eq!(clock.sim_at(before), 0.0);
+        }
     }
 
     #[test]
