@@ -13,7 +13,8 @@ use std::process::Command;
 /// Scale factor that keeps every experiment under a few seconds.
 const SMOKE_SCALE: &str = "0.02";
 
-fn run_smoke(bin_path: &str) {
+/// Run one binary at the smoke scale; returns its stdout.
+fn run_smoke(bin_path: &str) -> String {
     let output = Command::new(bin_path)
         .env("BLOX_SCALE", SMOKE_SCALE)
         .output()
@@ -29,6 +30,7 @@ fn run_smoke(bin_path: &str) {
         !output.stdout.is_empty(),
         "{bin_path} produced no output; expected experiment rows"
     );
+    String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
 macro_rules! smoke_test {
@@ -58,12 +60,23 @@ smoke_test!(
     fig14_auto_synth,
     fig15_auto_synth_timeline,
     fig16_loss_termination,
-    fig18_sim_fidelity,
     fig19_lease_renewal,
     fig20_auto_synth_multiobj,
     fig21_auto_synth_multiobj_timeline,
     table4_intranode_bandwidth,
 );
+
+/// fig18 ignores `BLOX_SCALE` and runs in about 2 s, so its fidelity
+/// check guards the in-process runtime on every run: the shape must hold,
+/// not only the exit code.
+#[test]
+fn fig18_sim_fidelity() {
+    let stdout = run_smoke(env!("CARGO_BIN_EXE_fig18_sim_fidelity"));
+    assert!(
+        stdout.contains("shape[sim and runtime agree within 15% avg per-job]: HOLDS"),
+        "fig18 fidelity check failed:\n{stdout}"
+    );
+}
 
 /// The scale benchmark takes `--quick` (no `BLOX_SCALE` wiring: its
 /// dimensions are explicit) and must run to completion and emit its JSON

@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 
 use blox_core::error::{BloxError, Result};
 use blox_core::ids::NodeId;
-use blox_runtime::wire::{Message, Transport, WireSender};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use blox_runtime::wire::{Message, Transport, WireRx, WireSender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::frame::{encode_shared, FrameBuf, SharedFrame};
@@ -258,7 +258,7 @@ impl WireSender for EvSender {
 /// [`crate::tcp::TcpTransport`] without the reader thread.
 pub struct EvTransport {
     sender: EvSender,
-    frames: Receiver<Vec<u8>>,
+    frames: WireRx,
 }
 
 impl EvTransport {
@@ -273,7 +273,10 @@ impl EvTransport {
     pub fn from_stream(stream: TcpStream, pool: &EvLoopPool) -> Result<Self> {
         let (tx, frames) = unbounded();
         let sender = pool.register(stream, Delivery::Frames(tx))?;
-        Ok(EvTransport { sender, frames })
+        Ok(EvTransport {
+            sender,
+            frames: frames.into(),
+        })
     }
 
     /// A clonable send-only handle onto this link.
@@ -294,31 +297,15 @@ impl Transport for EvTransport {
     }
 
     fn recv(&self) -> Result<Message> {
-        let frame = self
-            .frames
-            .recv()
-            .map_err(|_| BloxError::Transport("peer disconnected".into()))?;
-        Message::decode(&frame)
+        self.frames.recv()
     }
 
     fn try_recv(&self) -> Result<Option<Message>> {
-        match self.frames.try_recv() {
-            Ok(frame) => Ok(Some(Message::decode(&frame)?)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => {
-                Err(BloxError::Transport("peer disconnected".into()))
-            }
-        }
+        self.frames.try_recv()
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>> {
-        match self.frames.recv_timeout(timeout) {
-            Ok(frame) => Ok(Some(Message::decode(&frame)?)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(BloxError::Transport("peer disconnected".into()))
-            }
-        }
+        self.frames.recv_timeout(timeout)
     }
 }
 
@@ -549,13 +536,6 @@ impl Drop for EvLoopPool {
             let _ = t.join();
         }
     }
-}
-
-/// The process-wide default pool (auto-detected poller), for
-/// node daemons and clients that just need "an event loop" without
-/// managing a pool.
-pub fn global_pool() -> &'static EvLoopPool {
-    shared_pool(PollerKind::Auto)
 }
 
 /// A process-wide shared pool pinned to a readiness backend: `Auto`

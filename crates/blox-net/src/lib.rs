@@ -57,8 +57,8 @@ pub mod tcp;
 
 pub use client::{submit, submit_paced, submit_timed, JobRequest};
 pub use event_loop::{
-    global_pool, shared_pool, Delivery, EvLoopConfig, EvLoopPool, EvSender, EvTransport, LoopEvent,
-    Token, TransportKind,
+    shared_pool, Delivery, EvLoopConfig, EvLoopPool, EvSender, EvTransport, LoopEvent, Token,
+    TransportKind,
 };
 pub use frame::{
     encode_frame, encode_frame_into, encode_shared, FrameBuf, SharedFrame, MAX_FRAME_BYTES,

@@ -18,6 +18,11 @@
 //! * [`Message::SubmitJob`] from clients lands in the live wait queue,
 //!   enabling open-loop online traffic instead of pre-loaded traces.
 //!
+//! Preemption and launch are not implemented here: `NetBackend` is a
+//! [`WorkerLinks`] (commands go out on a node's connection, job status is
+//! read in the loop's drain order) and `exec_jobs` is one call to
+//! [`control::actuate`], the code the in-process runtime runs too.
+//!
 //! Intake does not wait for the round clock. Between rounds,
 //! `advance_round` blocks on the event channel until the round's
 //! wall-clock deadline: a submission is queued and acknowledged the
@@ -38,15 +43,14 @@ use blox_core::cluster::{ClusterState, GpuType, NodeSpec};
 use blox_core::error::{BloxError, Result};
 use blox_core::ids::{JobId, NodeId};
 use blox_core::job::{Job, JobStatus};
-use blox_core::manager::{
-    apply_placement, Backend, BloxManager, PlacementOutcome, RunConfig, StopCondition,
-};
+use blox_core::manager::{Backend, BloxManager, PlacementOutcome, RunConfig, StopCondition};
 use blox_core::metrics::RunStats;
 use blox_core::policy::{AdmissionPolicy, Placement, PlacementPolicy, SchedulingPolicy};
 use blox_core::profile::JobProfile;
 use blox_core::snapshot::Snapshot;
 use blox_core::state::JobState;
-use blox_runtime::runtime::{apply_status_message, placement_iter_time, RuntimeConfig, SimClock};
+use blox_runtime::control::{self, WorkerLinks};
+use blox_runtime::runtime::{RuntimeConfig, SimClock};
 use blox_runtime::wire::Message;
 use blox_workloads::ModelZoo;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -576,7 +580,7 @@ impl NetBackend {
             None => Vec::new(),
         };
         for node in targets {
-            self.send_to(node, &Message::Revoke { job: id }, cluster);
+            self.send(node, &Message::Revoke { job: id }, cluster);
         }
         cluster.release(id);
         self.stall.remove(&id);
@@ -625,13 +629,12 @@ impl NetBackend {
             .map(|j| j.id)
             .collect();
         for id in finished {
-            cluster.release(id);
             self.stall.remove(&id);
-            if let Some(job) = jobs.get_mut(id) {
-                job.placement.clear();
-                job.completion_time = Some(self.round_now);
-                let _ = jobs.set_status(id, JobStatus::Completed);
-            }
+            let done = Message::JobDone {
+                job: id,
+                sim_time: self.round_now,
+            };
+            control::apply_status(done, cluster, jobs);
         }
 
         // Stall verdicts.
@@ -669,13 +672,18 @@ impl NetBackend {
             self.requeue_job(id, cluster, jobs);
         }
     }
+}
 
-    /// Send one command to a worker. A failed send is a failure-detector
-    /// verdict in its own right: the event loop has closed the link, so
-    /// the node is declared dead immediately — its jobs requeue on the
-    /// next `update_metrics` — instead of waiting out the heartbeat
-    /// deadline on a corpse.
-    fn send_to(&mut self, node: NodeId, msg: &Message, cluster: &mut ClusterState) {
+/// Commands go out on each node's connection; job status is read in the
+/// loop's drain order (buffered status, then deferred events, then the
+/// event channel), so intake, registrations and closes are served while
+/// the control plane waits.
+impl WorkerLinks for NetBackend {
+    /// A failed send is a failure-detector verdict in its own right: the
+    /// event loop has closed the link, so the node is declared dead
+    /// immediately — its jobs requeue on the next `update_metrics` —
+    /// instead of waiting out the heartbeat deadline on a corpse.
+    fn send(&mut self, node: NodeId, msg: &Message, cluster: &mut ClusterState) {
         let sender = self
             .node_conn
             .get(&node)
@@ -688,60 +696,21 @@ impl NetBackend {
         }
     }
 
-    /// Wait (bounded) for a job's suspension ack from `rank0`, applying
-    /// other traffic as it arrives; propagates two-phase `ExitAt`
-    /// decisions to peers. No ack is coming — so the wait ends at once —
-    /// when the job's `JobDone` crossed the `Revoke` (it is no longer
-    /// `Running`) or `rank0` has been declared dead.
-    fn wait_for_suspension(
-        &mut self,
-        job: JobId,
-        rank0: NodeId,
-        cluster: &mut ClusterState,
-        jobs: &mut JobState,
-    ) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            while let Some(msg) = self.pending_status.pop_front() {
-                match msg {
-                    Message::JobSuspended { job: j, iters } if j == job => {
-                        if let Some(jref) = jobs.get_mut(job) {
-                            jref.completed_iters = iters.min(jref.total_iters);
-                        }
-                        return;
-                    }
-                    Message::ExitAt { job: j, exit_iter } => {
-                        // Phase 2: propagate the exit decision to the peer
-                        // shards' nodes (rank 0's node already has it).
-                        let peers: Vec<NodeId> = match jobs.get(j) {
-                            Some(jref) => cluster
-                                .nodes_of(&jref.placement)
-                                .into_iter()
-                                .skip(1)
-                                .collect(),
-                            None => Vec::new(),
-                        };
-                        for node in peers {
-                            self.send_to(node, &Message::ExitAt { job: j, exit_iter }, cluster);
-                        }
-                    }
-                    other => apply_status_message(other, cluster, jobs),
-                }
-            }
-            let running = jobs
-                .get(job)
-                .is_some_and(|j| j.status == JobStatus::Running);
-            let rank0_alive = cluster.node(rank0).is_some_and(|n| n.alive);
-            if !running || !rank0_alive {
-                return;
+    fn recv_status(&mut self, timeout: Duration, cluster: &mut ClusterState) -> Option<Message> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(msg) = self.pending_status.pop_front() {
+                return Some(msg);
             }
             let ev = match self.deferred.pop_front() {
                 Some(ev) => ev,
-                None => match self.events.recv_timeout(Duration::from_millis(20)) {
-                    Ok(ev) => ev,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                },
+                None => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.events.recv_timeout(left).ok()?
+                }
             };
             self.process_event(ev, cluster);
         }
@@ -819,17 +788,10 @@ impl Backend for NetBackend {
         self.poll(cluster);
         self.requeue_failed(cluster, jobs);
         while let Some(msg) = self.pending_status.pop_front() {
-            apply_status_message(msg, cluster, jobs);
+            control::apply_status(msg, cluster, jobs);
         }
         self.detect_lost_jobs(cluster, jobs);
-        if elapsed > 0.0 {
-            for job in jobs.active_mut() {
-                if job.status == JobStatus::Running {
-                    job.attained_service += job.placement.len() as f64 * elapsed;
-                    job.running_time += elapsed;
-                }
-            }
-        }
+        control::accrue_service(jobs, elapsed);
     }
 
     fn exec_jobs(
@@ -838,74 +800,8 @@ impl Backend for NetBackend {
         cluster: &mut ClusterState,
         jobs: &mut JobState,
     ) -> PlacementOutcome {
-        // Preempt via optimistic lease revocation + two-phase exit, sent
-        // to the worker hosting rank 0.
-        for id in &placement.to_suspend {
-            let Some(job) = jobs.get(*id) else { continue };
-            if job.status != JobStatus::Running {
-                continue;
-            }
-            let Some(rank0) = job
-                .placement
-                .first()
-                .and_then(|g| cluster.gpu(*g))
-                .map(|r| r.node)
-            else {
-                continue;
-            };
-            self.send_to(rank0, &Message::Revoke { job: *id }, cluster);
-            self.wait_for_suspension(*id, rank0, cluster, jobs);
-        }
-
-        // Shared-state transitions, exactly as the other backends.
-        let filtered = Placement {
-            to_suspend: placement.to_suspend.clone(),
-            to_launch: placement
-                .to_launch
-                .iter()
-                .filter(|(id, _)| {
-                    jobs.get(*id)
-                        .map(|j| j.status != JobStatus::Completed)
-                        .unwrap_or(false)
-                })
-                .cloned()
-                .collect(),
-        };
-        let outcome = apply_placement(&filtered, cluster, jobs, self.round_now);
-        debug_assert!(
-            outcome.is_clean(),
-            "placement conflict: {:?}",
-            outcome.skipped
-        );
-
-        // Launch RPCs, one per worker hosting a shard.
-        for (id, gpus) in &filtered.to_launch {
-            let Some(job) = jobs.get(*id) else { continue };
-            let iter_time = placement_iter_time(job, cluster);
-            let nodes = cluster.nodes_of(gpus);
-            for (rank, node) in nodes.iter().enumerate() {
-                let local: Vec<u8> = gpus
-                    .iter()
-                    .filter_map(|g| cluster.gpu(*g))
-                    .filter(|r| r.node == *node)
-                    .map(|r| r.local)
-                    .collect();
-                self.send_to(
-                    *node,
-                    &Message::Launch {
-                        job: *id,
-                        local_gpus: local,
-                        iter_time_s: iter_time,
-                        start_iters: job.completed_iters,
-                        total_iters: job.total_iters,
-                        warmup_s: job.profile.restore_s,
-                        is_rank0: rank == 0,
-                    },
-                    cluster,
-                );
-            }
-        }
-        outcome
+        let now = self.round_now;
+        control::actuate(self, placement, cluster, jobs, now)
     }
 
     /// Wait for the round's wall-clock deadline while serving intake:

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blox_core::error::{BloxError, Result};
-use blox_runtime::wire::{Message, Transport, WireSender};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
+use blox_runtime::wire::{Message, Transport, WireRx, WireSender};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 
 use crate::frame::{encode_frame, read_frame, FrameBuf};
@@ -189,7 +189,7 @@ impl WireSender for TcpSender {
 /// [`Transport`] contract.
 pub struct TcpTransport {
     sender: TcpSender,
-    frames: Receiver<Vec<u8>>,
+    frames: WireRx,
     peer: SocketAddr,
 }
 
@@ -223,7 +223,7 @@ impl TcpTransport {
         });
         Ok(TcpTransport {
             sender: TcpSender::new(stream),
-            frames,
+            frames: frames.into(),
             peer,
         })
     }
@@ -259,31 +259,15 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self) -> Result<Message> {
-        let frame = self
-            .frames
-            .recv()
-            .map_err(|_| BloxError::Transport("peer disconnected".into()))?;
-        Message::decode(&frame)
+        self.frames.recv()
     }
 
     fn try_recv(&self) -> Result<Option<Message>> {
-        match self.frames.try_recv() {
-            Ok(frame) => Ok(Some(Message::decode(&frame)?)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => {
-                Err(BloxError::Transport("peer disconnected".into()))
-            }
-        }
+        self.frames.try_recv()
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>> {
-        match self.frames.recv_timeout(timeout) {
-            Ok(frame) => Ok(Some(Message::decode(&frame)?)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(BloxError::Transport("peer disconnected".into()))
-            }
-        }
+        self.frames.recv_timeout(timeout)
     }
 }
 

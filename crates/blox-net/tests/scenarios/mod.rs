@@ -242,7 +242,7 @@ pub fn churn_scenario(poller: PollerKind) {
 /// 16-GPU job queues behind it, and four long 1-GPU jobs backfill the
 /// idle GPUs. When the 12-GPU job finishes, FIFO grants the 16-GPU job the
 /// whole cluster, so the backfilled jobs are preempted through lease
-/// revocation (`wait_for_suspension`); they resume once it is done. Every
+/// revocation (`control::actuate`); they resume once it is done. Every
 /// job must complete exactly once, with no node or job lost on the way.
 pub fn preemption_scenario(poller: PollerKind) {
     let _wd = watchdog(Duration::from_secs(240), "preemption scenario");

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use blox_core::error::Result;
+use blox_core::error::{BloxError, Result};
 use blox_core::fault::{FaultState, FaultVerdict};
 use parking_lot::Mutex;
 
@@ -67,6 +67,21 @@ impl RecvState {
                     self.pending.push_back(held);
                 }
             }
+        }
+    }
+
+    /// The inner link failed with `e`: release the held reorder slot (no
+    /// next message will come to swap with it), and fail only once the
+    /// admitted messages have drained.
+    fn link_died(&mut self, e: BloxError) -> Result<()> {
+        if let Some(held) = self.held.take() {
+            self.pending.push_back(held);
+        }
+        self.dead = true;
+        if self.pending.is_empty() {
+            Err(e)
+        } else {
+            Ok(())
         }
     }
 
@@ -126,15 +141,7 @@ impl<T: Transport> FaultyTransport<T> {
                     Ok(Some(msg)) => state.admit(now, msg),
                     Ok(None) => break,
                     Err(e) => {
-                        // Release the held reorder slot: there is no "next
-                        // message" to swap with any more.
-                        if let Some(held) = state.held.take() {
-                            state.pending.push_back(held);
-                        }
-                        state.dead = true;
-                        if state.pending.is_empty() {
-                            return Err(e);
-                        }
+                        state.link_died(e)?;
                         break;
                     }
                 }
@@ -145,6 +152,33 @@ impl<T: Transport> FaultyTransport<T> {
         }
         Ok(state.pop_due(now))
     }
+
+    /// Wait for the next due message until `deadline` (forever if `None`).
+    /// Blocks on the inner link so an idle wait costs no CPU; any arrival,
+    /// or a short tick for delayed-message maturation, re-enters the poll.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Option<Message>> {
+        loop {
+            if let Some(msg) = self.poll_once()? {
+                return Ok(Some(msg));
+            }
+            let mut wait = POLL_INTERVAL;
+            if let Some(deadline) = deadline {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Ok(None);
+                }
+                wait = wait.min(deadline - now);
+            }
+            match self.inner.recv_timeout(wait) {
+                Ok(Some(msg)) => {
+                    let now = self.clock.sim_now();
+                    self.state.lock().admit(now, msg);
+                }
+                Ok(None) => {}
+                Err(e) => self.state.lock().link_died(e)?,
+            }
+        }
+    }
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
@@ -153,31 +187,8 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn recv(&self) -> Result<Message> {
-        loop {
-            if let Some(msg) = self.poll_once()? {
-                return Ok(msg);
-            }
-            // Block on the inner link so an idle wait costs no CPU; any
-            // arrival (or a short tick, for delayed-message maturation)
-            // re-enters the poll.
-            match self.inner.recv_timeout(POLL_INTERVAL) {
-                Ok(Some(msg)) => {
-                    let now = self.clock.sim_now();
-                    self.state.lock().admit(now, msg);
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    let mut state = self.state.lock();
-                    if let Some(held) = state.held.take() {
-                        state.pending.push_back(held);
-                    }
-                    state.dead = true;
-                    if state.pending.is_empty() {
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        self.recv_until(None)
+            .map(|msg| msg.expect("only a deadline ends the wait"))
     }
 
     fn try_recv(&self) -> Result<Option<Message>> {
@@ -185,34 +196,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(msg) = self.poll_once()? {
-                return Ok(Some(msg));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            let wait = (deadline - now).min(POLL_INTERVAL);
-            match self.inner.recv_timeout(wait) {
-                Ok(Some(msg)) => {
-                    let sim_now = self.clock.sim_now();
-                    self.state.lock().admit(sim_now, msg);
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    let mut state = self.state.lock();
-                    if let Some(held) = state.held.take() {
-                        state.pending.push_back(held);
-                    }
-                    state.dead = true;
-                    if state.pending.is_empty() {
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        self.recv_until(Some(Instant::now() + timeout))
     }
 }
 

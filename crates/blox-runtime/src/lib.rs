@@ -9,13 +9,18 @@
 //! * **BloxClientLibrary** — a data-loader wrapper that checks its lease
 //!   each iteration and a metric collector that pushes key/value metrics.
 //!
-//! The paper uses gRPC; per DESIGN.md §5 we substitute a hand-rolled
-//! length-prefixed binary codec ([`wire`]) over in-process channels, which
-//! preserves the message patterns (launch/preempt RPCs, metric pushes,
+//! The paper uses gRPC. This crate substitutes a hand-rolled
+//! length-prefixed binary codec ([`wire`]) over in-process channels,
+//! which keeps the message patterns (launch/preempt RPCs, metric pushes,
 //! lease checks) while keeping the workspace dependency-light. Training
 //! itself is emulated: worker threads run time-scaled iterations, so a
 //! multi-day trace replays in seconds while exercising the exact
 //! launch / lease / preempt / metric code paths.
+//!
+//! [`control`] is the scheduler side of that traffic, shared by every
+//! deployment backend: it revokes, collects suspension acks, forwards
+//! two-phase exits, launches, and applies worker status. A backend only
+//! supplies its transport as a [`control::WorkerLinks`].
 //!
 //! The lease protocol implements both designs evaluated in Figure 19 —
 //! centralized renewal (every job round-trips to the scheduler) and
@@ -25,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod control;
 pub mod fault;
 pub mod lease;
 pub mod runtime;
@@ -33,7 +39,6 @@ pub mod wire;
 pub use fault::{FaultySender, FaultyTransport};
 pub use lease::{LeaseMode, LeaseTable, TwoPhaseExit};
 pub use runtime::{
-    apply_status_message, placement_iter_time, EmulatedCluster, RuntimeBackend, RuntimeConfig,
-    ServeEnd, SimClock, WorkerManager,
+    EmulatedCluster, RuntimeBackend, RuntimeConfig, ServeEnd, SimClock, WorkerManager,
 };
 pub use wire::{Endpoint, Message, Transport, WireSender};

@@ -15,11 +15,12 @@ use std::time::{Duration, Instant};
 
 use blox_core::cluster::ClusterState;
 use blox_core::ids::{JobId, NodeId};
-use blox_core::job::{Job, JobStatus};
-use blox_core::manager::{apply_placement, Backend, PlacementOutcome};
+use blox_core::job::Job;
+use blox_core::manager::{Backend, PlacementOutcome};
 use blox_core::policy::Placement;
 use blox_core::state::JobState;
 
+use crate::control::{self, WorkerLinks};
 use crate::lease::LeaseTable;
 use crate::wire::{wire_bus, Endpoint, Message, Transport, WireRx, WireSender, WireTx};
 
@@ -269,7 +270,9 @@ impl WorkerManager {
             Message::Revoke { job } => {
                 // Two-phase exit, phase 1: rank 0's worker decides the exit
                 // iteration from the live counter and reports it upstream
-                // so the scheduler can propagate it to peer shards.
+                // so the scheduler can propagate it to peer shards. The
+                // report goes out before the local revoke: the job's
+                // `JobSuspended` must not reach the scheduler first.
                 let current = self
                     .counters
                     .lock()
@@ -277,8 +280,8 @@ impl WorkerManager {
                     .map(|c| c.load(Ordering::SeqCst))
                     .unwrap_or(0);
                 let exit_iter = current + 1;
-                self.lease.revoke_at(job, exit_iter);
                 let _ = up.send(&Message::ExitAt { job, exit_iter });
+                self.lease.revoke_at(job, exit_iter);
             }
             Message::ExitAt { job, exit_iter } => {
                 // Phase 2 at a peer shard.
@@ -294,15 +297,7 @@ impl WorkerManager {
 /// Handle the central scheduler holds per worker.
 struct WorkerHandle {
     cmd: Endpoint,
-    manager: Arc<WorkerManager>,
     _thread: JoinHandle<()>,
-}
-
-impl WorkerHandle {
-    /// The worker's local lease table (inspection / tests).
-    fn lease(&self) -> Arc<LeaseTable> {
-        self.manager.lease()
-    }
 }
 
 fn spawn_worker(
@@ -312,15 +307,13 @@ fn spawn_worker(
     cfg: RuntimeConfig,
 ) -> WorkerHandle {
     let (central_side, worker_side) = Endpoint::pair();
-    let manager = Arc::new(WorkerManager::new(node, clock, cfg));
-    let manager2 = manager.clone();
+    let manager = WorkerManager::new(node, clock, cfg);
     let thread = std::thread::spawn(move || {
         let _ = bus.send(&Message::RegisterWorker { node, gpus: 0 });
-        manager2.serve(&worker_side, &bus);
+        manager.serve(&worker_side, &bus);
     });
     WorkerHandle {
         cmd: central_side,
-        manager,
         _thread: thread,
     }
 }
@@ -387,68 +380,6 @@ fn run_emulated_job(
 
 // The emulated cluster + backend ----------------------------------------------
 
-/// Placement-adjusted per-iteration time for a job under its current
-/// placement — the performance-model entry point shared by every
-/// deployment backend (in-process and `blox-net`), mirroring the
-/// simulator's model so fidelity differences come from mechanism, not
-/// model.
-pub fn placement_iter_time(job: &Job, cluster: &ClusterState) -> f64 {
-    let n = job.placement.len() as u32;
-    let consolidated = cluster.is_consolidated(&job.placement);
-    let inter_bw = cluster.alloc_inter_bw(&job.placement);
-    let gpu_type = job
-        .placement
-        .first()
-        .and_then(|g| cluster.gpu(*g))
-        .map(|r| r.gpu_type)
-        .unwrap_or(blox_core::cluster::GpuType::V100);
-    job.profile
-        .iter_model
-        .iter_time(n, gpu_type, consolidated, inter_bw)
-}
-
-/// Apply one worker-originated job-status message (progress, metric push,
-/// completion, suspension checkpoint) to the shared scheduler state.
-///
-/// Shared by [`RuntimeBackend`] and `blox-net`'s networked scheduler
-/// backend so the two deployments interpret worker traffic identically.
-/// Command-direction and control-plane messages are ignored.
-pub fn apply_status_message(msg: Message, cluster: &mut ClusterState, jobs: &mut JobState) {
-    match msg {
-        Message::Progress { job, iters } => {
-            if let Some(j) = jobs.get_mut(job) {
-                if j.status == JobStatus::Running {
-                    j.completed_iters = iters.min(j.total_iters);
-                }
-            }
-        }
-        Message::PushMetric { job, key, value } => {
-            if let Some(j) = jobs.get_mut(job) {
-                j.push_metric(&key, value);
-            }
-        }
-        Message::JobDone { job, sim_time }
-            if jobs
-                .get(job)
-                .is_some_and(|j| j.status == JobStatus::Running) =>
-        {
-            let j = jobs.get_mut(job).expect("job verified present above");
-            j.completed_iters = j.total_iters;
-            j.completion_time = Some(sim_time);
-            j.placement.clear();
-            jobs.set_status(job, JobStatus::Completed)
-                .expect("job verified present above");
-            cluster.release(job);
-        }
-        Message::JobSuspended { job, iters } => {
-            if let Some(j) = jobs.get_mut(job) {
-                j.completed_iters = iters.min(j.total_iters);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// A running set of worker managers plus the central message bus.
 pub struct EmulatedCluster {
     workers: BTreeMap<NodeId, WorkerHandle>,
@@ -463,13 +394,6 @@ impl EmulatedCluster {
         &self.cfg
     }
 
-    /// A node's local lease table, if the node has a worker.
-    pub fn lease_table(&self, node: NodeId) -> Option<Arc<LeaseTable>> {
-        self.workers.get(&node).map(|w| w.lease())
-    }
-}
-
-impl EmulatedCluster {
     /// Start one worker manager per live node of the cluster.
     pub fn start(cluster: &ClusterState, cfg: RuntimeConfig) -> Self {
         let (bus_tx, bus_rx) = wire_bus();
@@ -487,6 +411,20 @@ impl EmulatedCluster {
             clock,
             cfg,
         }
+    }
+}
+
+/// Commands go down each worker's command endpoint; job status comes
+/// back on the shared bus.
+impl WorkerLinks for EmulatedCluster {
+    fn send(&mut self, node: NodeId, msg: &Message, _cluster: &mut ClusterState) {
+        if let Some(w) = self.workers.get(&node) {
+            let _ = w.cmd.send(msg);
+        }
+    }
+
+    fn recv_status(&mut self, timeout: Duration, _cluster: &mut ClusterState) -> Option<Message> {
+        self.bus_rx.recv_timeout(timeout).ok().flatten()
     }
 }
 
@@ -510,64 +448,6 @@ impl RuntimeBackend {
             last_update: 0.0,
         }
     }
-
-    fn worker_of(&self, cluster: &ClusterState, job: &Job) -> Option<NodeId> {
-        job.placement
-            .first()
-            .and_then(|g| cluster.gpu(*g))
-            .map(|r| r.node)
-    }
-
-    /// Drain the bus, applying messages to shared state; returns messages
-    /// we were waiting for (filtered by `keep`).
-    fn drain_bus(&mut self, cluster: &mut ClusterState, jobs: &mut JobState) {
-        while let Ok(Some(msg)) = self.cluster.bus_rx.try_recv() {
-            apply_status_message(msg, cluster, jobs);
-        }
-    }
-
-    /// Wait (bounded) for a specific job's suspension ack, applying other
-    /// messages as they arrive. Returns the checkpointed iterations, or
-    /// `None` as soon as the job is no longer `Running` — its `JobDone`
-    /// crossed the `Revoke`, so no ack is coming.
-    fn wait_for_suspension(
-        &mut self,
-        job: JobId,
-        cluster: &mut ClusterState,
-        jobs: &mut JobState,
-    ) -> Option<f64> {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            match self.cluster.bus_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Some(Message::JobSuspended { job: j, iters })) if j == job => {
-                    if let Some(jref) = jobs.get_mut(job) {
-                        jref.completed_iters = iters.min(jref.total_iters);
-                    }
-                    return Some(iters);
-                }
-                Ok(Some(Message::ExitAt { job: j, exit_iter })) => {
-                    // Propagate the exit decision to peer shards (phase 2).
-                    if let Some(jref) = jobs.get(j) {
-                        let nodes = cluster.nodes_of(&jref.placement);
-                        for node in nodes.iter().skip(1) {
-                            if let Some(w) = self.cluster.workers.get(node) {
-                                let _ = w.cmd.send(&Message::ExitAt { job: j, exit_iter });
-                            }
-                        }
-                    }
-                }
-                Ok(Some(other)) => {
-                    apply_status_message(other, cluster, jobs);
-                    if jobs.get(job).is_none_or(|j| j.status != JobStatus::Running) {
-                        return None;
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => return None,
-            }
-        }
-        None
-    }
 }
 
 impl Backend for RuntimeBackend {
@@ -581,15 +461,12 @@ impl Backend for RuntimeBackend {
     }
 
     fn pop_wait_queue(&mut self, now: f64) -> Vec<Job> {
-        let mut out = Vec::new();
-        while let Some(front) = self.arrivals.front() {
-            if front.arrival_time <= now {
-                out.push(self.arrivals.pop_front().expect("front exists"));
-            } else {
-                break;
-            }
-        }
-        out
+        let due = self
+            .arrivals
+            .iter()
+            .take_while(|j| j.arrival_time <= now)
+            .count();
+        self.arrivals.drain(..due).collect()
     }
 
     fn peek_next_arrival(&self) -> Option<(JobId, f64)> {
@@ -608,17 +485,10 @@ impl Backend for RuntimeBackend {
         );
         let elapsed = (self.round_now - self.last_update).max(0.0);
         self.last_update = self.round_now;
-        self.drain_bus(cluster, jobs);
-        // Attained service accrues at round granularity like the sim;
-        // index-driven over the running set, not every active job.
-        if elapsed > 0.0 {
-            let running: Vec<JobId> = jobs.running_ids().iter().copied().collect();
-            for id in running {
-                let job = jobs.get_mut(id).expect("running jobs are active");
-                job.attained_service += job.placement.len() as f64 * elapsed;
-                job.running_time += elapsed;
-            }
+        while let Some(msg) = self.cluster.recv_status(Duration::ZERO, cluster) {
+            control::apply_status(msg, cluster, jobs);
         }
+        control::accrue_service(jobs, elapsed);
     }
 
     fn exec_jobs(
@@ -627,69 +497,7 @@ impl Backend for RuntimeBackend {
         cluster: &mut ClusterState,
         jobs: &mut JobState,
     ) -> PlacementOutcome {
-        // Preempt via optimistic lease revocation + two-phase exit.
-        for id in &placement.to_suspend {
-            let Some(job) = jobs.get(*id) else { continue };
-            if job.status != JobStatus::Running {
-                continue;
-            }
-            let Some(rank0) = self.worker_of(cluster, job) else {
-                continue;
-            };
-            if let Some(w) = self.cluster.workers.get(&rank0) {
-                let _ = w.cmd.send(&Message::Revoke { job: *id });
-            }
-            self.wait_for_suspension(*id, cluster, jobs);
-        }
-
-        // Apply the shared-state transitions (suspend bookkeeping, GPU
-        // allocation for launches) exactly as the simulator does.
-        let filtered = Placement {
-            to_suspend: placement.to_suspend.clone(),
-            to_launch: placement
-                .to_launch
-                .iter()
-                .filter(|(id, _)| {
-                    jobs.get(*id)
-                        .map(|j| j.status != JobStatus::Completed)
-                        .unwrap_or(false)
-                })
-                .cloned()
-                .collect(),
-        };
-        let outcome = apply_placement(&filtered, cluster, jobs, self.round_now);
-        debug_assert!(
-            outcome.is_clean(),
-            "placement conflict: {:?}",
-            outcome.skipped
-        );
-
-        // Send launch RPCs, one per worker hosting a shard.
-        for (id, gpus) in &filtered.to_launch {
-            let Some(job) = jobs.get(*id) else { continue };
-            let iter_time = placement_iter_time(job, cluster);
-            let nodes = cluster.nodes_of(gpus);
-            for (rank, node) in nodes.iter().enumerate() {
-                let local: Vec<u8> = gpus
-                    .iter()
-                    .filter_map(|g| cluster.gpu(*g))
-                    .filter(|r| r.node == *node)
-                    .map(|r| r.local)
-                    .collect();
-                if let Some(w) = self.cluster.workers.get(node) {
-                    let _ = w.cmd.send(&Message::Launch {
-                        job: *id,
-                        local_gpus: local,
-                        iter_time_s: iter_time,
-                        start_iters: job.completed_iters,
-                        total_iters: job.total_iters,
-                        warmup_s: job.profile.restore_s,
-                        is_rank0: rank == 0,
-                    });
-                }
-            }
-        }
-        outcome
+        control::actuate(&mut self.cluster, placement, cluster, jobs, self.round_now)
     }
 
     fn advance_round(&mut self, round_duration: f64) {
@@ -702,6 +510,7 @@ impl Backend for RuntimeBackend {
 mod tests {
     use super::*;
     use blox_core::cluster::NodeSpec;
+    use blox_core::job::JobStatus;
     use blox_core::manager::{BloxManager, ExecMode, RunConfig, StopCondition};
     use blox_core::policy::{
         AdmissionPolicy, PlacementPolicy, SchedulingDecision, SchedulingPolicy,
@@ -909,33 +718,47 @@ mod tests {
 
     #[test]
     fn suspended_jobs_checkpoint_their_progress() {
-        // LAS-like forced suspension: run one job, then explicitly suspend
-        // it via the backend and confirm its progress was checkpointed.
-        let mut cstate = cluster(1);
-        let mut jobs = JobState::new();
-        jobs.add_new_jobs(vec![Job::new(JobId(0), 0.0, 1, 100_000.0, quick_profile())]);
-        let emu = EmulatedCluster::start(&cstate, RuntimeConfig::default());
-        let mut backend = RuntimeBackend::new(emu, vec![]);
-        let launch = Placement {
-            to_launch: vec![(JobId(0), vec![cstate.free_gpus()[0]])],
-            to_suspend: vec![],
-        };
-        backend.exec_jobs(&launch, &mut cstate, &mut jobs);
-        // Let it run ~3000 simulated seconds (0.3 s wall).
-        backend.advance_round(3000.0);
-        backend.update_metrics(&mut cstate, &mut jobs, 3000.0);
-        let suspend = Placement {
-            to_launch: vec![],
-            to_suspend: vec![JobId(0)],
-        };
-        backend.exec_jobs(&suspend, &mut cstate, &mut jobs);
-        let j = jobs.get(JobId(0)).unwrap();
-        assert_eq!(j.status, JobStatus::Suspended);
-        assert!(
-            j.completed_iters > 0.0,
-            "checkpoint must carry progress, got {}",
-            j.completed_iters
-        );
-        assert_eq!(cstate.free_gpu_count(), 4);
+        // LAS-like forced suspension: run k one-GPU jobs, then explicitly
+        // suspend them all in one round via the backend and confirm each
+        // job's progress was checkpointed.
+        for k in [1, 4] {
+            let mut cstate = cluster(1);
+            let mut jobs = JobState::new();
+            let ids: Vec<JobId> = (0..k).map(JobId).collect();
+            jobs.add_new_jobs(
+                ids.iter()
+                    .map(|id| Job::new(*id, 0.0, 1, 100_000.0, quick_profile()))
+                    .collect(),
+            );
+            let emu = EmulatedCluster::start(&cstate, RuntimeConfig::default());
+            let mut backend = RuntimeBackend::new(emu, vec![]);
+            let launch = Placement {
+                to_launch: ids
+                    .iter()
+                    .zip(cstate.free_gpus())
+                    .map(|(id, g)| (*id, vec![g]))
+                    .collect(),
+                to_suspend: vec![],
+            };
+            backend.exec_jobs(&launch, &mut cstate, &mut jobs);
+            // Let them run ~3000 simulated seconds (0.3 s wall).
+            backend.advance_round(3000.0);
+            backend.update_metrics(&mut cstate, &mut jobs, 3000.0);
+            let suspend = Placement {
+                to_launch: vec![],
+                to_suspend: ids.clone(),
+            };
+            backend.exec_jobs(&suspend, &mut cstate, &mut jobs);
+            for id in &ids {
+                let j = jobs.get(*id).unwrap();
+                assert_eq!(j.status, JobStatus::Suspended, "k = {k}, {id:?}");
+                assert!(
+                    j.completed_iters > 0.0,
+                    "checkpoint must carry progress, got {} (k = {k}, {id:?})",
+                    j.completed_iters
+                );
+            }
+            assert_eq!(cstate.free_gpu_count(), 4, "k = {k}");
+        }
     }
 }

@@ -398,54 +398,36 @@ pub trait WireSender: Send {
 /// One side of a bidirectional message channel. All traffic is encoded to
 /// byte frames and decoded on receipt.
 pub struct Endpoint {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
+    tx: WireTx,
+    rx: WireRx,
 }
 
 impl Endpoint {
     /// Create a connected endpoint pair.
     pub fn pair() -> (Endpoint, Endpoint) {
-        let (atx, brx) = unbounded();
-        let (btx, arx) = unbounded();
+        let (atx, brx) = wire_bus();
+        let (btx, arx) = wire_bus();
         (Endpoint { tx: atx, rx: arx }, Endpoint { tx: btx, rx: brx })
     }
 
     /// Encode and send a message.
     pub fn send(&self, msg: &Message) -> Result<()> {
-        self.tx
-            .send(msg.encode())
-            .map_err(|_| BloxError::Transport("peer disconnected".into()))
+        self.tx.send(msg)
     }
 
     /// Block until a message arrives.
     pub fn recv(&self) -> Result<Message> {
-        let frame = self
-            .rx
-            .recv()
-            .map_err(|_| BloxError::Transport("peer disconnected".into()))?;
-        Message::decode(&frame)
+        self.rx.recv()
     }
 
     /// Non-blocking receive; `Ok(None)` when no message is waiting.
     pub fn try_recv(&self) -> Result<Option<Message>> {
-        match self.rx.try_recv() {
-            Ok(frame) => Ok(Some(Message::decode(&frame)?)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => {
-                Err(BloxError::Transport("peer disconnected".into()))
-            }
-        }
+        self.rx.try_recv()
     }
 
     /// Blocking receive with a wall-clock timeout.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Message>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(Some(Message::decode(&frame)?)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(BloxError::Transport("peer disconnected".into()))
-            }
-        }
+        self.rx.recv_timeout(timeout)
     }
 }
 
@@ -476,9 +458,7 @@ pub struct WireTx {
 impl WireTx {
     /// Encode and send a message.
     pub fn send(&self, msg: &Message) -> Result<()> {
-        self.tx
-            .send(msg.encode())
-            .map_err(|_| BloxError::Transport("bus receiver dropped".into()))
+        self.tx.send(msg.encode()).map_err(|_| disconnected())
     }
 }
 
@@ -492,20 +472,31 @@ impl WireSender for WireTx {
     }
 }
 
-/// Receive half of a shared message bus.
+/// The receiving end of a frame channel, decoding each frame on receipt:
+/// the receive path of a bus, an [`Endpoint`], and every socket transport
+/// whose reader hands it frames.
 pub struct WireRx {
     rx: Receiver<Vec<u8>>,
 }
 
+impl From<Receiver<Vec<u8>>> for WireRx {
+    fn from(rx: Receiver<Vec<u8>>) -> Self {
+        WireRx { rx }
+    }
+}
+
 impl WireRx {
+    /// Block until a message arrives.
+    pub fn recv(&self) -> Result<Message> {
+        Message::decode(&self.rx.recv().map_err(|_| disconnected())?)
+    }
+
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Option<Message>> {
         match self.rx.try_recv() {
             Ok(frame) => Ok(Some(Message::decode(&frame)?)),
             Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => {
-                Err(BloxError::Transport("bus senders dropped".into()))
-            }
+            Err(TryRecvError::Disconnected) => Err(disconnected()),
         }
     }
 
@@ -514,17 +505,19 @@ impl WireRx {
         match self.rx.recv_timeout(timeout) {
             Ok(frame) => Ok(Some(Message::decode(&frame)?)),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(BloxError::Transport("bus senders dropped".into()))
-            }
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(disconnected()),
         }
     }
+}
+
+fn disconnected() -> BloxError {
+    BloxError::Transport("peer disconnected".into())
 }
 
 /// Create a many-producer single-consumer message bus.
 pub fn wire_bus() -> (WireTx, WireRx) {
     let (tx, rx) = unbounded();
-    (WireTx { tx }, WireRx { rx })
+    (WireTx { tx }, rx.into())
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blox_core::ids::{JobId, NodeId};
-use blox_runtime::lease::{LeaseTable, TwoPhaseExit};
-use blox_runtime::wire::{wire_bus, Endpoint, Message};
-use blox_runtime::LeaseMode;
+use blox_runtime::lease::{LeaseState, LeaseTable, TwoPhaseExit};
+use blox_runtime::wire::{wire_bus, Endpoint, Message, WireSender};
+use blox_runtime::{LeaseMode, RuntimeConfig, SimClock, WorkerManager};
+use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 
 // Lease protocol over the wire ----------------------------------------------
@@ -123,6 +124,52 @@ fn optimistic_two_phase_exit_over_the_wire() {
         );
         assert!(!s.may_run(job, exit_iter + 1), "and stop together after it");
     }
+}
+
+/// Each upstream message with the revoked job's lease state as it left.
+type Sent = Vec<(Message, Option<LeaseState>)>;
+
+/// Records the revoked job's lease state at every upstream send.
+#[derive(Clone)]
+struct LeaseProbe {
+    job: JobId,
+    lease: Arc<LeaseTable>,
+    sent: Arc<Mutex<Sent>>,
+}
+
+impl WireSender for LeaseProbe {
+    fn send(&self, msg: &Message) -> blox_core::error::Result<()> {
+        let state = self.lease.state(self.job);
+        self.sent.lock().push((msg.clone(), state));
+        Ok(())
+    }
+
+    fn clone_sender(&self) -> Box<dyn WireSender> {
+        Box::new(self.clone())
+    }
+}
+
+/// A worker manager reports rank 0's exit iteration while the local lease
+/// is still valid, so the job's `JobSuspended` cannot overtake it: the
+/// scheduler would stop waiting and drop the late `ExitAt`, and the peer
+/// shards would never stop.
+#[test]
+fn worker_reports_the_exit_iteration_before_revoking_the_lease() {
+    let cfg = RuntimeConfig::default();
+    let manager = WorkerManager::new(NodeId(0), Arc::new(SimClock::new(cfg.time_scale)), cfg);
+    let job = JobId(7);
+    manager.lease().grant(job);
+    let probe = LeaseProbe {
+        job,
+        lease: manager.lease(),
+        sent: Arc::default(),
+    };
+
+    assert!(manager.handle(Message::Revoke { job }, &probe));
+
+    let exit = Message::ExitAt { job, exit_iter: 1 };
+    assert_eq!(*probe.sent.lock(), vec![(exit, Some(LeaseState::Valid))]);
+    assert_eq!(manager.lease().state(job), Some(LeaseState::ExitAt(1)));
 }
 
 /// Lease state transitions compose: grant → revoke → re-grant restores a
