@@ -1,8 +1,9 @@
 //! Figure 3: reproducing Pollux — avg JCT vs scheduling interval.
 //!
 //! The paper compares Blox-Pollux against the Pollux authors' simulator
-//! across round lengths of 1/2/4/8 minutes; we compare against the
-//! independent reference implementation (DESIGN.md §5).
+//! across round lengths of 1/2/4/8 minutes. That simulator is not part of
+//! this workspace, so we compare against the independent reference
+//! implementation in `blox_bench::reference` instead.
 
 use blox_bench::reference::{avg_jct, run_reference, RefPolicy};
 use blox_bench::{banner, row, run_to_completion_perf, s0, shape_check};

@@ -2,12 +2,13 @@
 //!
 //! Figures 3–5 of the paper validate the Blox implementations of Pollux,
 //! Tiresias, and Synergy against the *authors'* open-source simulators.
-//! We cannot run those here, so per DESIGN.md §5 this module provides a
-//! second, independently structured implementation of each policy — a
-//! plain continuous allocation loop that shares nothing with the
-//! `BloxManager` round pipeline except the performance equations — and
-//! the figures compare Blox output against it, exactly as the paper
-//! compares two codebases implementing the same algorithm.
+//! Those simulators are not part of this workspace, so this module
+//! substitutes for them: a second, independently structured
+//! implementation of each policy — a plain continuous allocation loop
+//! that shares nothing with the `BloxManager` round pipeline except the
+//! performance equations — and the figures compare Blox output against
+//! it, exactly as the paper compares two codebases implementing the same
+//! algorithm.
 
 use std::collections::BTreeMap;
 

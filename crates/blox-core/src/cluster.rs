@@ -21,7 +21,7 @@
 //! verify the incremental maintenance (the property suite and the round
 //! loop's debug assertions run it continuously).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{BloxError, Result};
 use crate::ids::{GpuGlobalId, JobId, NodeId};
@@ -250,12 +250,15 @@ pub struct ClusterState {
     place_index: PlacementIndex,
     /// Liveness transitions since the last [`ClusterState::take_churn`].
     churn_log: Vec<NodeEvent>,
+    /// Jobs [`ClusterState::fail_node`] took GPUs from since the last
+    /// [`ClusterState::take_evicted`].
+    evicted: BTreeSet<JobId>,
 }
 
 /// Equality is defined on the source-of-truth state only (nodes, GPU
 /// table, id counters). The indexes are deterministic functions of it and
-/// the churn log is transient observability, so including them would make
-/// a decoded snapshot compare unequal to the live state it captured.
+/// the churn and eviction logs are transient, so including them would
+/// make a decoded snapshot compare unequal to the live state it captured.
 impl PartialEq for ClusterState {
     fn eq(&self, other: &Self) -> bool {
         self.nodes == other.nodes
@@ -316,7 +319,8 @@ impl ClusterState {
     }
 
     /// Mark a node as failed. Returns the jobs that were running on it so
-    /// the caller (backend) can requeue them.
+    /// the caller (backend) can requeue them; they are also recorded for
+    /// [`ClusterState::take_evicted`].
     pub fn fail_node(&mut self, id: NodeId) -> Result<Vec<JobId>> {
         let node = self.nodes.get_mut(&id).ok_or(BloxError::UnknownNode(id))?;
         let was_alive = node.alive;
@@ -335,6 +339,7 @@ impl ClusterState {
             if let Some(job) = gpu.job.take() {
                 if !evicted.contains(&job) {
                     evicted.push(job);
+                    self.evicted.insert(job);
                 }
                 // Drop the GPU from the job's allocation index; the job may
                 // keep shards on other (live) nodes.
@@ -381,6 +386,15 @@ impl ClusterState {
     /// [`crate::delta::StateDelta`].
     pub fn take_churn(&mut self) -> Vec<NodeEvent> {
         std::mem::take(&mut self.churn_log)
+    }
+
+    /// Drain the jobs [`ClusterState::fail_node`] took GPUs from since the
+    /// last call, in id order. Backends requeue from this set in Collect
+    /// instead of scanning every running job for a lost GPU; a job in it
+    /// may since have been released, suspended or relaunched, so callers
+    /// re-check each one.
+    pub fn take_evicted(&mut self) -> BTreeSet<JobId> {
+        std::mem::take(&mut self.evicted)
     }
 
     /// Iterate over live nodes in id order.
@@ -839,6 +853,8 @@ mod tests {
         c.allocate(JobId(9), &free[..2], 4.0).unwrap();
         let evicted = c.fail_node(NodeId(0)).unwrap();
         assert_eq!(evicted, vec![JobId(9)]);
+        assert_eq!(c.take_evicted().into_iter().collect::<Vec<_>>(), evicted);
+        assert!(c.take_evicted().is_empty(), "the eviction log drains");
         assert_eq!(c.total_gpus(), 4);
         c.revive_node(NodeId(0)).unwrap();
         assert_eq!(c.total_gpus(), 8);

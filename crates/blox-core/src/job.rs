@@ -1,6 +1,6 @@
 //! Job descriptions and lifecycle state.
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::ids::{GpuGlobalId, JobId};
 use crate::profile::JobProfile;
@@ -80,8 +80,8 @@ pub struct Job {
     pub pending_overhead: f64,
     /// Arbitrary application metrics pushed through the client library
     /// (loss, gradient norm, observed iteration time, ...). Mirrors the
-    /// paper's key-value metric store.
-    pub metrics: BTreeMap<String, f64>,
+    /// paper's key-value metric store; see [`Metrics`] for its layout.
+    pub metrics: Metrics,
     /// If set, the scheduler terminates the job once its reported loss is
     /// within this relative distance of the converged loss (Figure 16).
     pub loss_termination_threshold: Option<f64>,
@@ -114,7 +114,7 @@ impl Job {
             launches: 0,
             batch_size,
             pending_overhead: 0.0,
-            metrics: BTreeMap::new(),
+            metrics: Metrics::default(),
             loss_termination_threshold: None,
         }
     }
@@ -149,14 +149,15 @@ impl Job {
         self.first_scheduled.map(|f| f - self.arrival_time)
     }
 
-    /// Push an application metric (client-library path).
+    /// Push an application metric (client-library path). Overwrites in
+    /// place, without allocating, once the key exists.
     pub fn push_metric(&mut self, key: &str, value: f64) {
-        self.metrics.insert(key.to_string(), value);
+        self.metrics.insert(key, value);
     }
 
     /// Read an application metric.
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.get(key).copied()
+        self.metrics.get(key)
     }
 
     /// Estimate of remaining runtime (seconds) at the requested GPU count
@@ -180,6 +181,109 @@ impl Job {
             100.0,
         );
         self.total_iters * iter
+    }
+}
+
+/// Metric keys the simulator pushes every round (plus the inference
+/// crate's `request_rate`), in byte-wise order. Each has a fixed slot in
+/// [`Metrics`], so storing one never allocates.
+const INTERNED_KEYS: [&str; 4] = ["goodput", "iter_time", "loss", "request_rate"];
+
+/// A job's application metric store: a map from string keys to values
+/// that iterates in byte-wise key order, the order a
+/// `BTreeMap<String, f64>` iterates in (so snapshots encode the same
+/// bytes).
+///
+/// One pointer wide: a job that never reports a metric (a queued job)
+/// carries a null pointer, and the store is allocated at the first push.
+/// In it, the simulator's keys (`goodput`, `iter_time`, `loss`, and
+/// `request_rate`) have fixed slots: pushing one is a write, with no
+/// lookup structure and no allocation. A wire `PushMetric` may carry any
+/// other string; such keys are kept owned in a sorted `Vec`.
+#[derive(Clone, Default, PartialEq)]
+pub struct Metrics(Option<Box<MetricSlots>>);
+
+#[derive(Clone, Default, PartialEq)]
+struct MetricSlots {
+    /// Bit `i` is set when slot `i` holds a value.
+    present: u8,
+    /// Values of [`INTERNED_KEYS`], by position (0.0 while unset, so the
+    /// derived equality holds).
+    interned: [f64; 4],
+    /// Every other key, sorted.
+    other: Vec<(String, f64)>,
+}
+
+impl Metrics {
+    /// The value stored under `key`.
+    pub fn get(&self, key: &str) -> Option<f64> {
+        let s = self.0.as_deref()?;
+        match slot(key) {
+            Some(i) => (s.present & 1 << i != 0).then_some(s.interned[i]),
+            None => s.find(key).ok().map(|i| s.other[i].1),
+        }
+    }
+
+    /// Store `value` under `key`, replacing any previous value.
+    pub fn insert(&mut self, key: &str, value: f64) {
+        let s = self.0.get_or_insert_with(Box::default);
+        if let Some(i) = slot(key) {
+            s.interned[i] = value;
+            s.present |= 1 << i;
+            return;
+        }
+        match s.find(key) {
+            Ok(i) => s.other[i].1 = value,
+            Err(i) => s.other.insert(i, (key.to_owned(), value)),
+        }
+    }
+
+    /// Number of keys stored.
+    pub fn len(&self) -> usize {
+        self.0
+            .as_deref()
+            .map_or(0, |s| s.present.count_ones() as usize + s.other.len())
+    }
+
+    /// True when no key is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `(key, value)` pairs in byte-wise key order: the interned slots
+    /// merged with the owned keys.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.0.iter().flat_map(|s| s.iter())
+    }
+}
+
+impl MetricSlots {
+    fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
+        let mut interned = (0..INTERNED_KEYS.len())
+            .filter(|i| self.present & 1 << i != 0)
+            .map(|i| (INTERNED_KEYS[i], self.interned[i]))
+            .peekable();
+        let mut other = self.other.iter().map(|(k, v)| (k.as_str(), *v)).peekable();
+        std::iter::from_fn(move || match (interned.peek(), other.peek()) {
+            (Some((a, _)), Some((b, _))) if b < a => other.next(),
+            (Some(_), _) => interned.next(),
+            (None, _) => other.next(),
+        })
+    }
+
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.other.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+}
+
+/// The slot of an interned key.
+fn slot(key: &str) -> Option<usize> {
+    INTERNED_KEYS.iter().position(|k| *k == key)
+}
+
+impl fmt::Debug for Metrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 

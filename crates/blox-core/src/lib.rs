@@ -49,7 +49,7 @@ pub use delta::StateDelta;
 pub use error::{BloxError, Result};
 pub use fault::{FaultEvent, FaultPlan, FaultState, FaultVerdict, LinkFaults};
 pub use ids::{GpuGlobalId, JobId, NodeId};
-pub use job::{Job, JobStatus};
+pub use job::{Job, JobStatus, Metrics};
 pub use manager::{
     apply_placement, Backend, BloxManager, ExecMode, PlacementOutcome, RoundOutcome, RunConfig,
     StopCondition,

@@ -442,7 +442,8 @@ impl<B: Backend> BloxManager<B> {
                 if status == JobStatus::Running {
                     self.cluster.release(id);
                     if let Some(job) = self.jobs.get_mut(id) {
-                        job.placement.clear();
+                        // A finished job keeps no placement buffer.
+                        job.placement = Vec::new();
                     }
                 }
                 self.jobs
@@ -734,6 +735,35 @@ impl PlacementOutcome {
     pub fn first_error(&self) -> Option<&BloxError> {
         self.skipped.first().map(|(_, e)| e)
     }
+}
+
+/// Running jobs that lost GPUs to a node failure since the last call, in
+/// id order. Backends requeue these in Collect.
+///
+/// Drains [`ClusterState::take_evicted`] and keeps each id whose job is
+/// still `Running` and holds fewer GPUs than its placement names, so the
+/// cost follows the round's evictions, not the running set. Debug builds
+/// re-run the full scan of the running set and check the two lists agree.
+pub fn take_lost_jobs(cluster: &mut ClusterState, jobs: &JobState) -> Vec<JobId> {
+    let lost: Vec<JobId> = cluster
+        .take_evicted()
+        .into_iter()
+        .filter(|id| jobs.get(*id).is_some_and(|j| lost_gpus(j, cluster)))
+        .collect();
+    debug_assert_eq!(
+        lost,
+        jobs.running()
+            .filter(|j| lost_gpus(j, cluster))
+            .map(|j| j.id)
+            .collect::<Vec<_>>(),
+        "a running job lost GPUs without fail_node evicting it"
+    );
+    lost
+}
+
+/// A `Running` job whose allocation no longer covers its placement.
+fn lost_gpus(job: &Job, cluster: &ClusterState) -> bool {
+    job.status == JobStatus::Running && cluster.job_gpu_count(job.id) != job.placement.len()
 }
 
 /// Apply a placement plan to the shared state: suspend first, then launch.
@@ -1103,7 +1133,7 @@ mod tests {
             for id in done {
                 cluster.release(id);
                 if let Some(job) = jobs.get_mut(id) {
-                    job.placement.clear();
+                    job.placement = Vec::new();
                 }
                 jobs.set_status(id, JobStatus::Completed)
                     .expect("completed job is active");

@@ -441,9 +441,9 @@ fn put_job(buf: &mut Vec<u8>, job: &Job) {
     put_u64(buf, job.batch_size);
     put_f64(buf, job.pending_overhead);
     put_u32(buf, job.metrics.len() as u32);
-    for (key, value) in &job.metrics {
+    for (key, value) in job.metrics.iter() {
         put_str(buf, key);
-        put_f64(buf, *value);
+        put_f64(buf, value);
     }
     put_opt_f64(buf, job.loss_termination_threshold);
 }
@@ -476,7 +476,7 @@ fn read_job(r: &mut Reader) -> Result<Job> {
     for _ in 0..n_metrics {
         let key = r.string()?;
         let value = r.f64()?;
-        job.metrics.insert(key, value);
+        job.metrics.insert(&key, value);
     }
     job.loss_termination_threshold = read_opt_f64(r)?;
     Ok(job)

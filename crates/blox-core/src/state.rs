@@ -173,6 +173,18 @@ impl JobState {
             .filter_map(move |id| self.active.get(id))
     }
 
+    /// Mutable iteration over running jobs, in id order.
+    ///
+    /// Walks the active map in order and skips jobs that are not
+    /// running: O(active), but sequential, which at simulator sizes beats
+    /// one tree lookup per running job. The status-mutation caveat of
+    /// [`JobState::get_mut`] applies.
+    pub fn running_mut(&mut self) -> impl Iterator<Item = &mut Job> {
+        self.active
+            .values_mut()
+            .filter(|j| j.status == JobStatus::Running)
+    }
+
     /// Jobs waiting for GPUs (queued or suspended), in id order
     /// (index-driven, no scan).
     pub fn waiting(&self) -> impl Iterator<Item = &Job> {

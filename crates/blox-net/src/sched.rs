@@ -43,7 +43,9 @@ use blox_core::cluster::{ClusterState, GpuType, NodeSpec};
 use blox_core::error::{BloxError, Result};
 use blox_core::ids::{JobId, NodeId};
 use blox_core::job::{Job, JobStatus};
-use blox_core::manager::{Backend, BloxManager, PlacementOutcome, RunConfig, StopCondition};
+use blox_core::manager::{
+    take_lost_jobs, Backend, BloxManager, PlacementOutcome, RunConfig, StopCondition,
+};
 use blox_core::metrics::RunStats;
 use blox_core::policy::{AdmissionPolicy, Placement, PlacementPolicy, SchedulingPolicy};
 use blox_core::profile::JobProfile;
@@ -596,15 +598,9 @@ impl NetBackend {
     /// workers stop burning GPU time), then the job re-enters the
     /// schedulable set from its last reported checkpoint.
     fn requeue_failed(&mut self, cluster: &mut ClusterState, jobs: &mut JobState) {
-        // Index-driven: the running set and the per-job allocation count,
-        // no job-table or GPU-table scans (and no Vec per running job).
-        let mut lost = Vec::new();
-        for job in jobs.running() {
-            if cluster.job_gpu_count(job.id) != job.placement.len() {
-                lost.push(job.id);
-            }
-        }
-        for id in lost {
+        // From the ids `fail_node` evicted since the last Collect, not a
+        // scan of the running set.
+        for id in take_lost_jobs(cluster, jobs) {
             self.requeue_job(id, cluster, jobs);
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Gavel generalizes max-min-fair policies to heterogeneous accelerators
 //! by normalizing each job's allocation by its per-GPU-type throughput.
-//! The original uses an LP; per DESIGN.md we substitute an iterative
+//! The original solves an LP. This module substitutes an iterative
 //! water-filling allocator over effective-throughput-normalized attained
 //! service, which preserves the ordering behaviour (heterogeneity-aware
 //! LAS) without an LP dependency. On a homogeneous cluster it reduces to

@@ -172,7 +172,8 @@ pub fn apply_status(msg: Message, cluster: &mut ClusterState, jobs: &mut JobStat
             };
             j.completed_iters = j.total_iters;
             j.completion_time = Some(sim_time);
-            j.placement.clear();
+            // A finished job keeps no placement buffer.
+            j.placement = Vec::new();
             jobs.set_status(job, JobStatus::Completed)
                 .expect("job verified present above");
             cluster.release(job);

@@ -488,6 +488,9 @@ impl Backend for RuntimeBackend {
         while let Some(msg) = self.cluster.recv_status(Duration::ZERO, cluster) {
             control::apply_status(msg, cluster, jobs);
         }
+        // This backend has no requeue path; drain the eviction record so
+        // a failed node cannot make it grow.
+        cluster.take_evicted();
         control::accrue_service(jobs, elapsed);
     }
 

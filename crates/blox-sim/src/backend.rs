@@ -7,7 +7,7 @@ use blox_core::delta::StateDelta;
 use blox_core::fault::{FaultPlan, FaultState, FaultVerdict};
 use blox_core::ids::JobId;
 use blox_core::job::{Job, JobStatus};
-use blox_core::manager::{apply_placement, Backend, PlacementOutcome};
+use blox_core::manager::{apply_placement, take_lost_jobs, Backend, PlacementOutcome};
 use blox_core::policy::Placement;
 use blox_core::state::JobState;
 
@@ -182,10 +182,10 @@ impl Backend for SimBackend {
         for event in self.churn.due(self.clock) {
             match event {
                 ChurnEvent::Fail { node, .. } => {
-                    if let Ok(_evicted) = cluster.fail_node(node) {
-                        // Eviction handling happens in update_metrics via
-                        // placement scanning: jobs whose GPUs vanished are
-                        // requeued there. Here we only flip node state.
+                    if cluster.fail_node(node).is_ok() {
+                        // `fail_node` records the jobs it evicts; the
+                        // next update_metrics drains that record and
+                        // requeues them. Here we only flip node state.
                         self.rates.invalidate_node(node);
                     }
                 }
@@ -253,17 +253,10 @@ impl Backend for SimBackend {
         self.last_metrics_update = self.clock;
         let round_start = self.clock - elapsed;
 
-        // Requeue jobs that lost GPUs to node failures: their recorded
-        // placement no longer matches the cluster's allocation table.
-        // Index-driven on both sides: the running set and the per-job
-        // allocation count, no GPU-table or job-table scans.
-        let mut failed = Vec::new();
-        for job in jobs.running() {
-            if cluster.job_gpu_count(job.id) != job.placement.len() {
-                failed.push(job.id);
-            }
-        }
-        for id in failed {
+        // Requeue jobs that lost GPUs to node failures, from the ids
+        // `fail_node` evicted since the last Collect: the cost follows
+        // the round's evictions, not the running set.
+        for id in take_lost_jobs(cluster, jobs) {
             cluster.release(id);
             if let Some(job) = jobs.get_mut(id) {
                 job.placement.clear();
@@ -284,14 +277,19 @@ impl Backend for SimBackend {
         // bit-for-bit. This was the O(jobs²) Collect-stage hot spot.
         let rates = self.rates.update(&self.perf, jobs, cluster);
 
-        // Pass 2: apply progress, detect completions sub-round. Walks the
-        // running index (id order, as before), not every active job.
+        // Pass 2: apply progress, detect completions sub-round, and push
+        // the application metrics the client library would report. Walks
+        // the running jobs in id order (as before) with the id-ordered
+        // rates merged alongside: no per-job lookup. Without a fault plan
+        // the metrics land on the job in hand; with one they are
+        // collected for the faulty report path.
         let mut completed = Vec::new();
         let mut reports: Vec<(JobId, &'static str, f64)> = Vec::new();
-        let running: Vec<JobId> = jobs.running_ids().iter().copied().collect();
-        for id in running {
-            let job = jobs.get_mut(id).expect("running jobs are active");
-            let Some(&rate) = rates.get(&job.id) else {
+        let mut rates = rates.iter().peekable();
+        for job in jobs.running_mut() {
+            let id = job.id;
+            while rates.next_if(|(r, _)| **r < id).is_some() {}
+            let Some((_, &rate)) = rates.next_if(|(r, _)| **r == id) else {
                 continue;
             };
             let gpus = job.placement.len() as f64;
@@ -315,38 +313,39 @@ impl Backend for SimBackend {
                 let finish_offset = overhead + needed / rate;
                 job.completed_iters = job.total_iters;
                 job.completion_time = Some(round_start + finish_offset);
-                completed.push(job.id);
+                completed.push(id);
             } else {
                 job.completed_iters += gained;
             }
 
-            // Application metrics the client library would push.
-            reports.push((job.id, "loss", job.current_loss()));
-            reports.push((job.id, "iter_time", 1.0 / rate));
-            if job.profile.pollux.is_some() {
-                reports.push((job.id, "goodput", rate));
+            let loss = job.current_loss();
+            let goodput = job.profile.pollux.is_some().then_some(rate);
+            if self.faults.is_none() {
+                job.push_metric("loss", loss);
+                job.push_metric("iter_time", 1.0 / rate);
+                if let Some(goodput) = goodput {
+                    job.push_metric("goodput", goodput);
+                }
+            } else {
+                reports.push((id, "loss", loss));
+                reports.push((id, "iter_time", 1.0 / rate));
+                if let Some(goodput) = goodput {
+                    reports.push((id, "goodput", goodput));
+                }
             }
         }
         for id in &completed {
             jobs.set_status(*id, JobStatus::Completed)
                 .expect("completed job is active");
         }
-        // Status reports cross the (possibly faulty) report path; without
-        // a fault plan they land immediately, exactly as before.
-        match &mut self.faults {
-            None => {
-                for (job, key, value) in reports {
-                    if let Some(j) = jobs.get_mut(job) {
-                        j.push_metric(key, value);
-                    }
-                }
-            }
-            Some(faults) => faults.route(self.clock, reports, jobs),
+        if let Some(faults) = &mut self.faults {
+            faults.route(self.clock, reports, jobs);
         }
         for id in completed {
             cluster.release(id);
             if let Some(job) = jobs.get_mut(id) {
-                job.placement.clear();
+                // A finished job keeps no placement buffer.
+                job.placement = Vec::new();
             }
         }
     }

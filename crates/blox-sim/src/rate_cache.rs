@@ -22,12 +22,14 @@
 //!   terminations, Pollux batch retunes) and cluster churn into
 //!   [`RateCache::invalidate_job`] / [`RateCache::invalidate_node`];
 //!   unchanged jobs reuse last round's rate without recomputation.
-//! * **Validation sweep** — [`RateCache::update`] additionally runs an
-//!   O(running jobs) sweep comparing each entry's stored placement and
-//!   batch size against the live job, so direct state mutations that
-//!   bypass the delta stream (standalone backend use, tests) still
-//!   invalidate correctly. The sweep is the correctness net; the delta
-//!   stream is what keeps it cheap.
+//! * **Validation sweep** — [`RateCache::update`] additionally merges
+//!   its id-ordered entries against an in-order walk of the active jobs
+//!   in one pass (no per-job set or map lookups), dropping entries whose
+//!   job stopped running and comparing each remaining entry's stored
+//!   placement and batch size against the live job, so direct state
+//!   mutations that bypass the delta stream (standalone backend use,
+//!   tests) still invalidate correctly. The sweep is the correctness net;
+//!   the delta stream is what keeps the rebuild cheap.
 //! * **Parallel residual recompute** — when a round leaves a large
 //!   recompute set (cold start, mass preemption), the per-job rate math
 //!   fans out across scoped threads exactly like [`crate::sweep`] does:
@@ -58,7 +60,7 @@ use std::sync::Mutex;
 
 use blox_core::cluster::{ClusterState, GpuType};
 use blox_core::ids::{GpuGlobalId, JobId, NodeId};
-use blox_core::job::Job;
+use blox_core::job::{Job, JobStatus};
 use blox_core::state::JobState;
 
 use crate::perf::PerfModel;
@@ -246,36 +248,38 @@ impl RateCache {
             }
         }
 
-        // Validation sweep, part 1: drop entries whose job left the
-        // running set (completed, suspended, terminated, pruned).
-        let running = jobs.running_ids();
-        let gone: Vec<JobId> = self
-            .entries
-            .keys()
-            .copied()
-            .filter(|id| !running.contains(id))
-            .collect();
+        // Validation sweep (the correctness net), one merge of the
+        // id-ordered entries against the id-ordered running jobs:
+        // - an entry whose job left the running set (completed,
+        //   suspended, terminated, pruned) is gone;
+        // - a running job whose entry is missing, degraded, or out of
+        //   agreement with its live placement/batch is stale, whether or
+        //   not a delta named it.
+        // The running jobs come from an in-order walk of the active map,
+        // not a lookup per running id: sequential reads are the cheaper
+        // side at simulator sizes.
+        let mut gone = Vec::new();
+        let mut cached = self.entries.iter().peekable();
+        let running = jobs.active().filter(|j| j.status == JobStatus::Running);
+        for job in running {
+            while let Some((id, _)) = cached.next_if(|(id, _)| **id < job.id) {
+                gone.push(*id);
+            }
+            let fresh = cached
+                .next_if(|(id, _)| **id == job.id)
+                .is_some_and(|(_, e)| {
+                    !e.degraded && e.batch == job.batch_size && e.placement == job.placement
+                });
+            if !fresh {
+                stale.insert(job.id);
+            }
+        }
+        gone.extend(cached.map(|(id, _)| *id));
         for id in gone {
             self.forget(id, &mut touched);
         }
+        let running = jobs.running_ids();
         stale.retain(|id| running.contains(id));
-
-        // Validation sweep, part 2 (the correctness net): any running job
-        // whose entry is missing, degraded, or out of agreement with its
-        // live placement/batch is stale, whether or not a delta named it.
-        for job in jobs.running() {
-            if stale.contains(&job.id) {
-                continue;
-            }
-            match self.entries.get(&job.id) {
-                Some(e)
-                    if !e.degraded && e.batch == job.batch_size && e.placement == job.placement => {
-                }
-                _ => {
-                    stale.insert(job.id);
-                }
-            }
-        }
 
         // Rebuild stale entries' placement facts and pressure
         // contributions (serial: this mutates the reverse index).

@@ -3,11 +3,11 @@
 //! traces the paper evaluates on (Philly, Pollux, Tiresias), plus the
 //! spike/bursty transforms used in §5.
 //!
-//! The paper's production traces are proprietary; per the reproduction
-//! methodology (DESIGN.md §5) we synthesize traces that preserve the
-//! properties the experiments depend on: the Poisson arrival process with a
-//! sweepable rate, heavy-tailed isolated runtimes, a GPU-demand mix skewed
-//! towards small jobs, and per-job model profiles.
+//! The paper's production traces are proprietary. This crate substitutes
+//! synthetic traces that preserve the properties the experiments depend
+//! on: the Poisson arrival process with a sweepable rate, heavy-tailed
+//! isolated runtimes, a GPU-demand mix skewed towards small jobs, and
+//! per-job model profiles.
 
 #![warn(missing_docs)]
 

@@ -700,12 +700,16 @@ proptest! {
 
     /// The incremental rate cache stays *bitwise* equal to a from-scratch
     /// `PerfModel::progress_rates` recompute across random op sequences:
-    /// launches, suspensions, completions, Pollux retunes, and node
-    /// churn hitting mid-round (placements not yet requeued) — the same
-    /// model as the indexed-vs-naive cluster check above.
+    /// launches, suspensions, completions, Pollux retunes, moves of a
+    /// running job, and node churn hitting mid-round (placements not yet
+    /// requeued) — the same model as the indexed-vs-naive cluster check
+    /// above. About half the
+    /// job ops skip `invalidate_job`, so the validation sweep alone must
+    /// notice those changes; node churn always calls `invalidate_node`,
+    /// as the cache's contract requires.
     #[test]
     fn cached_rates_match_scratch_recompute(
-        ops in proptest::collection::vec((0u8..6, any::<u64>(), 1u8..5), 1..40),
+        ops in proptest::collection::vec((0u8..7, any::<u64>(), 1u8..5, any::<bool>()), 1..40),
     ) {
         let mut c = ClusterState::new();
         c.add_nodes(&NodeSpec::v100_p3_8xlarge(), 3);
@@ -714,7 +718,7 @@ proptest! {
         let perf = PerfModel::default();
         let mut cache = RateCache::new().with_threads(1);
         let mut next_id = 0u64;
-        for (op, pick, size) in ops {
+        for (op, pick, size, report) in ops {
             match op {
                 // Launch a new job; profile class varies with the id so
                 // Pollux keys, CPU contention, and plain iteration models
@@ -749,7 +753,9 @@ proptest! {
                         j.status = JobStatus::Running;
                         c.allocate(id, &free[..want], 4.0).expect("free GPUs allocate");
                         js.add_new_jobs(vec![j]);
-                        cache.invalidate_job(id);
+                        if report {
+                            cache.invalidate_job(id);
+                        }
                     }
                 }
                 // Suspend a running job.
@@ -760,7 +766,9 @@ proptest! {
                         c.release(id);
                         js.get_mut(id).expect("running").placement.clear();
                         js.set_status(id, JobStatus::Suspended).expect("running");
-                        cache.invalidate_job(id);
+                        if report {
+                            cache.invalidate_job(id);
+                        }
                     }
                 }
                 // Complete (and prune) a running job.
@@ -772,7 +780,9 @@ proptest! {
                         js.get_mut(id).expect("running").placement.clear();
                         js.set_status(id, JobStatus::Completed).expect("running");
                         js.prune_completed();
-                        cache.invalidate_job(id);
+                        if report {
+                            cache.invalidate_job(id);
+                        }
                     }
                 }
                 // Retune a Pollux job's batch size (rate change, no
@@ -785,7 +795,9 @@ proptest! {
                     if !pollux.is_empty() {
                         let id = pollux[pick as usize % pollux.len()];
                         js.get_mut(id).expect("running").batch_size = 64u64 << (size % 5);
-                        cache.invalidate_job(id);
+                        if report {
+                            cache.invalidate_job(id);
+                        }
                     }
                 }
                 // Fail an alive node *without* requeueing its jobs — the
@@ -802,7 +814,7 @@ proptest! {
                     }
                 }
                 // Revive a dead node (exercises the degraded-entry path).
-                _ => {
+                5 => {
                     let dead: Vec<NodeId> = c.all_nodes()
                         .filter(|n| !n.alive)
                         .map(|n| n.id)
@@ -811,6 +823,23 @@ proptest! {
                         let node = dead[pick as usize % dead.len()];
                         c.revive_node(node).expect("dead node revives");
                         cache.invalidate_node(node);
+                    }
+                }
+                // Move a running job to other GPUs (a placement change
+                // that keeps the job running).
+                _ => {
+                    let ids: Vec<JobId> = js.running_ids().iter().copied().collect();
+                    if !ids.is_empty() && c.free_gpu_count() > 0 {
+                        let id = ids[pick as usize % ids.len()];
+                        c.release(id);
+                        let free = c.free_gpus();
+                        let want = (size as usize).min(free.len());
+                        let gpus = free[free.len() - want..].to_vec();
+                        c.allocate(id, &gpus, 4.0).expect("free GPUs allocate");
+                        js.get_mut(id).expect("running").placement = gpus;
+                        if report {
+                            cache.invalidate_job(id);
+                        }
                     }
                 }
             }
